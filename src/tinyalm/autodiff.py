@@ -386,19 +386,6 @@ def mean(a, axis=None, keepdims=False):
     return out
 
 
-def l1_norm(a):
-    a = _as_tensor(a)
-    out = Tensor(np.abs(a.data).sum())
-    na = _tracked(a)
-
-    def backward(g):
-        # subgradient: sign, with sign(0) = 0
-        return (g * np.sign(a.data) if na else None,)
-
-    _maybe_record("l1_norm", (a,), out, backward)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / structure
 # ---------------------------------------------------------------------------
@@ -470,17 +457,6 @@ def concat(tensors, axis=0):
 
     _maybe_record("concat", tuple(ts), out, backward)
     return out
-
-
-def stack(tensors, axis=0):
-    """Stack along a new axis; composed from reshape + concat."""
-    expanded = []
-    for t in tensors:
-        t = _as_tensor(t)
-        shp = list(t.shape)
-        shp.insert(axis % (t.ndim + 1), 1)
-        expanded.append(reshape(t, tuple(shp)))
-    return concat(expanded, axis=axis)
 
 
 def slice_(a, key):
@@ -565,54 +541,12 @@ def log_softmax(a, axis=-1):
 # model-specific primitives
 # ---------------------------------------------------------------------------
 
-def interp_linear(a, t_out: int):
-    """Linearly resample rows of a [T_in, D] tensor to t_out rows.
-
-    Sample positions are numpy's linspace(0, T_in-1, t_out): the identity
-    when t_out == T_in, constant replication when T_in == 1. The map is a
-    fixed sparse matrix, so backward is its transpose.
-    """
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"interp_linear expects [T, D], got {a.shape}")
-    if t_out <= 0:
-        raise ValueError(f"t_out must be positive, got {t_out}")
-    t_in = a.shape[0]
-    w = _interp_matrix(t_in, t_out, a.dtype)
-    out = Tensor(w @ a.data)
-    na = _tracked(a)
-
-    def backward(g):
-        return (w.T @ g if na else None,)
-
-    _maybe_record("interp_linear", (a,), out, backward)
-    return out
-
-
-def _interp_matrix(t_in, t_out, dtype):
-    w = np.zeros((t_out, t_in), dtype=dtype)
-    pos = np.linspace(0.0, t_in - 1.0, t_out)
-    lo = np.floor(pos).astype(int)
-    lo = np.minimum(lo, t_in - 1)
-    hi = np.minimum(lo + 1, t_in - 1)
-    frac = (pos - lo).astype(dtype)
-    rows = np.arange(t_out)
-    np.add.at(w, (rows, lo), 1.0 - frac)
-    np.add.at(w, (rows, hi), frac)
-    return w
-
-
 def cosine_distance(a, b, eps: float = 1e-8):
-    """1 - cos(a, b) with an epsilon-guarded denominator; a, b are vectors."""
+    """1 - cos(a, b) along the last axis, with an epsilon-guarded denominator."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_distance expects equal-length vectors, got "
-                         f"{a.shape} and {b.shape}")
-    ra = reshape(a, (1, a.shape[0]))
-    rb = reshape(b, (b.shape[0], 1))
-    dot = reshape(matmul(ra, rb), ())
-    na = sqrt(sum_(mul(a, a)))
-    nb = sqrt(sum_(mul(b, b)))
+    dot = sum_(mul(a, b), axis=-1)
+    na = sqrt(sum_(mul(a, a), axis=-1))
+    nb = sqrt(sum_(mul(b, b), axis=-1))
     denom = add(mul(na, nb), Tensor(np.asarray(eps, dtype=a.dtype)))
     return sub(Tensor(np.asarray(1.0, dtype=a.dtype)), div(dot, denom))
 

@@ -6,10 +6,11 @@ forced."""
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
+
+from .config import fingerprint
 
 MAGIC = b"TCKP"
 FORMAT_VERSION = 1
@@ -17,10 +18,6 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     pass
-
-
-def config_fingerprint(config_text: str) -> str:
-    return hashlib.sha256(config_text.encode()).hexdigest()
 
 
 def _write_tensor(f, name: str, arr: np.ndarray):
@@ -65,7 +62,7 @@ def save_checkpoint(path, store, opt, step: int, config_text: str):
         if t.data.dtype != np.float32:
             raise CheckpointError(f"checkpoint format stores float32 tensors; "
                                   f"{name} is {t.data.dtype}")
-    fp = config_fingerprint(config_text).encode()
+    fp = fingerprint(config_text).encode()
     cfg_b = config_text.encode()
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -99,7 +96,7 @@ def peek_checkpoint(path) -> dict:
     (clen,) = r.unpack("<I")
     config_text = r.take(clen).decode()
     (step,) = r.unpack("<Q")
-    if config_fingerprint(config_text) != fp:
+    if fingerprint(config_text) != fp:
         raise CheckpointError(f"{path}: fingerprint does not match the "
                               f"embedded config text")
     return {"version": version, "fingerprint": fp,
@@ -115,7 +112,7 @@ def load_checkpoint(path, store, opt=None, config_text: str = None,
     """
     head = peek_checkpoint(path)
     if config_text is not None and not force:
-        want = config_fingerprint(config_text)
+        want = fingerprint(config_text)
         if want != head["fingerprint"]:
             raise CheckpointError(
                 f"{path}: config fingerprint mismatch (checkpoint "
@@ -139,6 +136,7 @@ def load_checkpoint(path, store, opt=None, config_text: str = None,
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)[:4]}")
 
+    trainable = {n: t.data.shape for n, t in store.trainable_items()}
     staged_moments = []
     (n_mom,) = r.unpack("<I")
     for _ in range(n_mom):
@@ -148,7 +146,17 @@ def load_checkpoint(path, store, opt=None, config_text: str = None,
         if not (m_name.endswith(".m") and v_name == base + ".v"):
             raise CheckpointError(f"{path}: malformed moment pair "
                                   f"{m_name!r}/{v_name!r}")
+        if base not in trainable:
+            raise CheckpointError(f"{path}: moments for unknown trainable "
+                                  f"{base!r}")
+        if m_data.shape != trainable[base] or v_data.shape != trainable[base]:
+            raise CheckpointError(f"{path}: moment shape mismatch for {base}: "
+                                  f"{m_data.shape}/{v_data.shape} vs "
+                                  f"{trainable[base]}")
         staged_moments.append((base, m_data, v_data))
+    missing = set(trainable) - {base for base, _, _ in staged_moments}
+    if missing:
+        raise CheckpointError(f"{path}: missing moments {sorted(missing)[:4]}")
     if r.off != len(r.raw):
         raise CheckpointError(f"{path}: {len(r.raw) - r.off} trailing bytes")
 
@@ -157,9 +165,6 @@ def load_checkpoint(path, store, opt=None, config_text: str = None,
         named[name].data[...] = data
     if opt is not None:
         for base, m_data, v_data in staged_moments:
-            if base not in opt.m:
-                raise CheckpointError(f"{path}: moments for unknown trainable "
-                                      f"{base!r}")
             opt.m[base][...] = m_data
             opt.v[base][...] = v_data
         opt.step_count = head["step"]

@@ -54,9 +54,6 @@ def _op_cases(rng):
     yield "sum_keepdims", lambda p: ad.sum_(ad.sum_(p["a"], axis=1, keepdims=True)), \
         {"a": a()}
     yield "mean", lambda p: ad.sum_(ad.mean(p["a"], axis=1)), {"a": a()}
-    yield "l1_norm", lambda p: ad.l1_norm(p["a"]), \
-        {"a": Tensor(rng.uniform(0.3, 1.0, (3, 4)) * np.sign(rng.standard_normal((3, 4))),
-                     requires_grad=True)}  # away from |x| kink at 0
     yield "matmul", lambda p: ad.sum_(ad.matmul(p["a"], p["b"])), \
         {"a": _t(rng, 3, 4), "b": _t(rng, 4, 2)}
     yield "matmul_batched", lambda p: ad.sum_(ad.matmul(p["a"], p["b"])), \
@@ -67,8 +64,6 @@ def _op_cases(rng):
         {"a": a(), "b": _t(rng, 2, 6)}
     yield "concat", lambda p: ad.sum_(ad.mul(ad.concat([p["a"], p["b"]], axis=1), p["c"])), \
         {"a": a(), "b": _t(rng, 3, 2), "c": _t(rng, 3, 6)}
-    yield "stack", lambda p: ad.sum_(ad.mul(ad.stack([p["a"], p["b"]], axis=0), p["c"])), \
-        {"a": a(), "b": b(), "c": _t(rng, 2, 3, 4)}
     yield "slice", lambda p: ad.sum_(ad.slice_(p["a"], (slice(1, 3), slice(None, 2)))), \
         {"a": a()}
     yield "embedding_lookup", \
@@ -78,10 +73,9 @@ def _op_cases(rng):
         {"a": a(), "b": b()}
     yield "log_softmax", lambda p: ad.sum_(ad.mul(ad.log_softmax(p["a"], axis=-1), p["b"])), \
         {"a": a(), "b": b()}
-    yield "interp_linear", lambda p: ad.sum_(ad.mul(ad.interp_linear(p["a"], 7), p["b"])), \
-        {"a": _t(rng, 4, 3), "b": _t(rng, 7, 3)}
-    yield "cosine_distance", lambda p: ad.cosine_distance(p["a"], p["b"]), \
-        {"a": _t(rng, 6), "b": _t(rng, 6)}
+    yield "cosine_distance", \
+        lambda p: ad.sum_(ad.mul(ad.cosine_distance(p["a"], p["b"]), p["c"])), \
+        {"a": _t(rng, 3, 6), "b": _t(rng, 3, 6), "c": _t(rng, 3)}
     yield "linear", lambda p: ad.sum_(ad.linear(p["x"], p["w"], p["b"])), \
         {"x": _t(rng, 3, 4), "w": _t(rng, 4, 2), "b": _t(rng, 2)}
     yield "layer_norm", lambda p: ad.sum_(ad.mul(ad.layer_norm(p["x"], p["g"], p["b"]), p["c"])), \

@@ -69,7 +69,7 @@ def _cmd_train(args) -> int:
     model = Model(cfg)
     opt = AdamW(model.store, cfg)
 
-    n_train = sum(t.data.size for _, t in model.store.trainable_items())
+    n_train = model.trainable_count()
     fused_dim = cfg.enc1_dim + cfg.enc2_dim + cfg.enc3_dim
     assert n_train == trainable_param_formula(cfg, fused_dim)
     print(f"trainable parameters: {n_train}")

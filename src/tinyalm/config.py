@@ -190,6 +190,6 @@ def save_config(cfg: Config, path):
         fh.write(dump_config(cfg))
 
 
-def fingerprint(cfg: Config) -> str:
-    """Content hash of the canonical serialization."""
-    return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()
+def fingerprint(config_text: str) -> str:
+    """sha256 hex digest of a config text, as embedded in checkpoints."""
+    return hashlib.sha256(config_text.encode("utf-8")).hexdigest()

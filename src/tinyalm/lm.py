@@ -46,11 +46,7 @@ class SequenceBatch:
 
 class ToyDecoder:
     def __init__(self, cfg: Config, store: ParamStore):
-        if cfg.lora_rank >= cfg.d_model:
-            raise ConfigError(f"lora_rank {cfg.lora_rank} must be below "
-                              f"d_model {cfg.d_model}")
-        if cfg.d_model % cfg.lm_heads:
-            raise ConfigError("d_model must divide evenly into heads")
+        cfg.validate()
         self.cfg = cfg
         d, dt = cfg.d_model, cfg.np_dtype
         rng = seeded_rng(cfg.model_seed, 500)

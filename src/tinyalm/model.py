@@ -75,7 +75,7 @@ class Model:
                             trainable=True)
 
     def trainable_count(self) -> int:
-        return sum(t.data.size for _, t in self.store.trainable_items())
+        return self.store.trainable_count()
 
     def audio_window_valid(self, mask: np.ndarray) -> np.ndarray:
         """[B, n_win * N]: window positions backed by at least one real frame."""
@@ -115,9 +115,11 @@ class Model:
                 axis=1)
         return audio_prefix, audio_valid
 
-    def forward_batch(self, records: list, rng: np.random.Generator,
-                      compute_saclm: bool = True,
-                      saclm_decisions=None) -> ForwardOut:
+    def front_end(self, records: list):
+        """Shared by training and decoding: encode, project, query and route
+        the audio, then build the padded audio prefix and the prompt
+        embedding. Returns (fused, zfeat, phi, routing, audio_prefix,
+        audio_valid, prompt_vecs); routing is None when TAPM is disabled."""
         cfg = self.cfg
         fused = self.encoders.encode_all([r.samples for r in records],
                                          zero_encoder=cfg.zero_encoder)
@@ -136,6 +138,14 @@ class Model:
         audio_valid = self.audio_window_valid(fused.mask)
         audio_prefix, audio_valid = self.pad_audio(audio_prefix, audio_valid)
         prompt_vecs = embedding_lookup(self.lm_prompt_embed, prompt_ids)
+        return fused, zfeat, phi, routing, audio_prefix, audio_valid, prompt_vecs
+
+    def forward_batch(self, records: list, rng: np.random.Generator,
+                      compute_saclm: bool = True,
+                      saclm_decisions=None) -> ForwardOut:
+        cfg = self.cfg
+        (fused, zfeat, phi, routing, audio_prefix, audio_valid,
+         prompt_vecs) = self.front_end(records)
         targets = [list(map(int, r.targets)) for r in records]
         seq = build_sequence(cfg, self.decoder, audio_prefix, audio_valid,
                              prompt_vecs, targets)
@@ -144,10 +154,12 @@ class Model:
 
         sac = None
         if compute_saclm and not cfg.disable_saclm:
-            text_embeds = [self.decoder.embed_tokens(r.targets)
-                           for r in records]
-            sac = self.saclm.forward(phi, text_embeds, rng,
-                                     decisions=saclm_decisions)
+            lengths = np.array([len(t) for t in targets])
+            text_ids = np.full((len(targets), lengths.max()), cfg.pad_id)
+            text_ids[np.arange(lengths.max()) < lengths[:, None]] = \
+                np.concatenate(targets)
+            sac = self.saclm.forward(phi, self.decoder.embed_tokens(text_ids),
+                                     lengths, rng, decisions=saclm_decisions)
             loss = add(scale(l_ce, cfg.alpha_mix),
                        scale(sac.loss_sac, 1.0 - cfg.alpha_mix))
         else:
@@ -161,20 +173,7 @@ class Model:
         cfg = self.cfg
         if max_new is None:
             max_new = cfg.max_tokens + 2
-        fused = self.encoders.encode_all([record.samples],
-                                         zero_encoder=cfg.zero_encoder)
-        proj = self.inproj(fused.values)
-        zfeat = self.qformer.forward(proj, fused.mask)
-        task_ids = np.array([record.task_id])
-        prompt_ids = record.prompt_ids[None, :]
-        if cfg.disable_tapm:
-            phi = zfeat.values
-        else:
-            phi = self.tapm.forward(zfeat.values, task_ids, prompt_ids).values
-        audio_prefix = linear(phi, self.audio_w, self.audio_b)
-        audio_valid = self.audio_window_valid(fused.mask)
-        audio_prefix, audio_valid = self.pad_audio(audio_prefix, audio_valid)
-        prompt_vecs = embedding_lookup(self.lm_prompt_embed, prompt_ids)
+        *_, audio_prefix, audio_valid, prompt_vecs = self.front_end([record])
 
         out = []
         tokens = [cfg.bos_id]

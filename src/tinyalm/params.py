@@ -49,24 +49,7 @@ class ParamStore:
         for p in self._params.values():
             p.grad = None
 
-    def snapshot(self) -> dict:
-        """Bitwise copy of every tensor, for freeze/round-trip comparisons."""
-        return {n: p.data.copy() for n, p in self._params.items()}
-
 
 def seeded_rng(*key) -> np.random.Generator:
     """Deterministic generator from an integer key path."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
-
-
-def randn_tensor(rng, shape, std=1.0, dtype=np.float32, trainable=True) -> Tensor:
-    data = (rng.standard_normal(shape) * std).astype(dtype)
-    return Tensor(data, requires_grad=trainable)
-
-
-def zeros_tensor(shape, dtype=np.float32, trainable=True) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=trainable)
-
-
-def ones_tensor(shape, dtype=np.float32, trainable=True) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=trainable)

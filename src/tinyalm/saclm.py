@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat, cosine_distance, div,
-                       interp_linear, linear, mean, mul, relu, reshape,
-                       scale, sigmoid, slice_, stack, ste_threshold, sub,
-                       sum_)
+from .autodiff import (Tensor, add, concat, cosine_distance, div, linear,
+                       matmul, mean, mul, relu, reshape, scale, sigmoid,
+                       slice_, ste_threshold, sub, sum_)
 from .config import Config, ConfigError
 from .params import ParamStore, seeded_rng
 
@@ -42,6 +41,22 @@ def derangement(n: int, rng: np.random.Generator) -> np.ndarray:
     return arr
 
 
+def _interp_matrix(t_in, t_out, dtype):
+    """[t_out, t_in] linear resampling map. Sample positions are numpy's
+    linspace(0, t_in-1, t_out): the identity when t_out == t_in, constant
+    replication when t_in == 1."""
+    w = np.zeros((t_out, t_in), dtype=dtype)
+    pos = np.linspace(0.0, t_in - 1.0, t_out)
+    lo = np.floor(pos).astype(int)
+    lo = np.minimum(lo, t_in - 1)
+    hi = np.minimum(lo + 1, t_in - 1)
+    frac = (pos - lo).astype(dtype)
+    rows = np.arange(t_out)
+    np.add.at(w, (rows, lo), 1.0 - frac)
+    np.add.at(w, (rows, hi), frac)
+    return w
+
+
 class Saclm:
     def __init__(self, cfg: Config, store: ParamStore):
         self.cfg = cfg
@@ -63,9 +78,16 @@ class Saclm:
         self.agg_w2 = reg("agg.w2", rng.standard_normal((ah, d)) / np.sqrt(ah))
         self.agg_b2 = reg("agg.b2", np.zeros(d))
 
-    def align_text(self, text_embeds: list, t_a: int) -> Tensor:
-        """Resample each example's [T_t, d] text embedding to t_a rows."""
-        return stack([interp_linear(te, t_a) for te in text_embeds], axis=0)
+    def align_text(self, text: Tensor, lengths, t_a: int) -> Tensor:
+        """Resample each example's first lengths[b] text rows to t_a rows.
+
+        text: [B, T_t, d], right-padded. One constant [B, t_a, T_t] map whose
+        padded columns are zero, so padding never reaches the result.
+        """
+        w = np.zeros((text.shape[0], t_a, text.shape[1]), dtype=text.dtype)
+        for b, n in enumerate(lengths):
+            w[b, :, :n] = _interp_matrix(n, t_a, text.dtype)
+        return matmul(Tensor(w), text)
 
     def score(self, phi: Tensor, aligned: Tensor) -> Tensor:
         b, t_a, _ = phi.shape
@@ -102,18 +124,16 @@ class Saclm:
         return slice_(pooled, (perm,)), perm
 
     def triplet(self, phi_p: Tensor, t_pos: Tensor, t_neg: Tensor) -> Tensor:
-        m = Tensor(np.asarray(self.cfg.margin, dtype=phi_p.dtype))
-        hinges = []
-        for b in range(phi_p.shape[0]):
-            anchor = slice_(phi_p, b)
-            d_pos = cosine_distance(anchor, slice_(t_pos, b), self.cfg.eps_norm)
-            d_neg = cosine_distance(anchor, slice_(t_neg, b), self.cfg.eps_norm)
-            hinges.append(relu(add(sub(d_pos, d_neg), m)))
-        return mean(stack(hinges))
+        """Mean over rows of max(0, d(phi_p, t_pos) - d(phi_p, t_neg) + m)."""
+        eps = self.cfg.eps_norm
+        d_pos = cosine_distance(phi_p, t_pos, eps)
+        d_neg = cosine_distance(phi_p, t_neg, eps)
+        return mean(relu(add(sub(d_pos, d_neg), self.cfg.margin)))
 
-    def forward(self, phi: Tensor, text_embeds: list,
+    def forward(self, phi: Tensor, text: Tensor, lengths,
                 rng: np.random.Generator, decisions=None) -> SaclmOutput:
-        """phi: [B, T_a, d_model]; text_embeds: per-example [T_t, d_model].
+        """phi: [B, T_a, d_model]; text: [B, T_t, d_model] target-text
+        embeddings right-padded past each example's length in `lengths`.
 
         `decisions` pins D to a fixed array instead of thresholding S. The
         straight-through estimator's backward is the identity, not the true
@@ -124,14 +144,17 @@ class Saclm:
         if b < 2:
             raise ConfigError("SACLM requires batch size >= 2 for in-batch "
                               "negatives")
-        aligned = self.align_text(text_embeds, phi.shape[1])
+        aligned = self.align_text(text, lengths, phi.shape[1])
         s = self.score(phi, aligned)
         if decisions is not None:
             d, fallback = Tensor(np.asarray(decisions, dtype=s.dtype)), 0
         else:
             d, fallback = self.decide(s)
         phi_p = self.aggregate(phi, s, d)
-        pooled = stack([mean(te, axis=0) for te in text_embeds], axis=0)
+        n = np.asarray(lengths)[:, None, None]
+        pool = (np.arange(text.shape[1]) < n) / n   # [B, 1, T_t] row of 1/n
+        pooled = reshape(matmul(Tensor(pool.astype(text.dtype)), text),
+                         (b, text.shape[2]))
         neg, perm = self.sample_negatives(pooled, rng)
         loss_t = self.triplet(phi_p, pooled, neg)
         loss_s = scale(mean(s), self.cfg.lambda_sparsity)

@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from tinyalm.checkpoint import (CheckpointError, config_fingerprint,
+from tinyalm.checkpoint import (CheckpointError, _write_tensor,
                                 load_checkpoint, peek_checkpoint,
                                 save_checkpoint)
-from tinyalm.config import Config, dump_config
+from tinyalm.config import Config, dump_config, fingerprint
 from tinyalm.data import gen_dataset
 from tinyalm.model import Model
 from tinyalm.optim import AdamW
@@ -12,14 +14,14 @@ from tinyalm.train import run_training
 
 
 def make(tmp_path, steps=0, **over):
+    """A model trained for `steps` steps of a `steps`-step schedule."""
+    if steps:
+        over = dict(total_steps=steps, batch_size=4, lr=1e-3, **over)
     cfg = Config(**over)
     model = Model(cfg)
     opt = AdamW(model.store, cfg)
     recs = gen_dataset(cfg, 0, 8)
     if steps:
-        cfg2 = Config(total_steps=steps, batch_size=4, lr=1e-3, **over)
-        model_cfg = model  # same store, retrain with the shorter schedule
-        opt = AdamW(model.store, cfg2)
         run_training(model, opt, recs)
     path = tmp_path / "ck.bin"
     return cfg, model, opt, recs, path
@@ -116,7 +118,49 @@ def test_peek_reads_header_without_model(tmp_path):
     head = peek_checkpoint(path)
     assert head["step"] == 2
     assert head["config_text"] == text
-    assert head["fingerprint"] == config_fingerprint(text)
+    assert head["fingerprint"] == fingerprint(text)
+
+
+@pytest.mark.parametrize("fault", ["broadcast_shape", "missing_pair",
+                                   "unknown_name"])
+def test_bad_moments_rejected_atomically(tmp_path, fault):
+    cfg, model, opt, recs, path = make(tmp_path, steps=2)
+    save_checkpoint(path, model.store, opt, 2, dump_config(cfg))
+    r = peek_checkpoint(path)["_reader"]
+    (n_tensors,) = r.unpack("<I")
+    for _ in range(n_tensors):
+        r.tensor()
+    names = [n for n, _ in model.store.trainable_items()]
+    vector = next(n for n in names if opt.m[n].ndim == 1 and opt.m[n].size > 1)
+    pairs = [(n, opt.m[n], opt.v[n]) for n in names]
+    if fault == "broadcast_shape":   # (1,) would broadcast into (d,)
+        pairs = [(n, m[:1], v[:1]) if n == vector else (n, m, v)
+                 for n, m, v in pairs]
+    elif fault == "missing_pair":
+        pairs = [p for p in pairs if p[0] != vector]
+    else:
+        pairs = [("nope", m, v) if n == vector else (n, m, v)
+                 for n, m, v in pairs]
+    with open(path, "wb") as f:
+        f.write(r.raw[:r.off])
+        f.write(struct.pack("<I", len(pairs)))
+        for n, m, v in pairs:
+            _write_tensor(f, n + ".m", m)
+            _write_tensor(f, n + ".v", v)
+
+    fresh = Model(cfg)
+    o2 = AdamW(fresh.store, cfg)
+    for n in o2.m:
+        o2.m[n][...] = 0.5
+        o2.v[n][...] = 0.25
+    o2.step_count = 7
+    before = {n: t.data.copy() for n, t in fresh.store.items()}
+    with pytest.raises(CheckpointError, match="moment"):
+        load_checkpoint(path, fresh.store, o2)
+    for n, t in fresh.store.items():
+        assert np.array_equal(t.data, before[n]), n
+    assert o2.step_count == 7
+    assert all(np.all(o2.m[n] == 0.5) and np.all(o2.v[n] == 0.25) for n in o2.m)
 
 
 def test_f64_store_refused(tmp_path):

@@ -22,7 +22,7 @@ def test_dump_parse_roundtrip_every_field():
                  dtype="float64", lm_heads=4)
     back = parse_config(dump_config(cfg))
     assert back == cfg
-    assert fingerprint(back) == fingerprint(cfg)
+    assert fingerprint(dump_config(back)) == fingerprint(dump_config(cfg))
 
 
 def test_parse_ignores_comments_and_blank_lines():
@@ -73,8 +73,9 @@ def test_validate_rejects_out_of_range():
 
 
 def test_fingerprint_tracks_content():
-    assert fingerprint(Config()) != fingerprint(Config(lr=1e-4))
-    assert fingerprint(Config()) == fingerprint(Config())
+    assert (fingerprint(dump_config(Config()))
+            != fingerprint(dump_config(Config(lr=1e-4))))
+    assert fingerprint(dump_config(Config())) == fingerprint(dump_config(Config()))
 
 
 def test_derived_token_ids():

@@ -1,11 +1,16 @@
 """The finite-difference oracle itself."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from tinyalm import autodiff as ad
-from tinyalm.autodiff import Tensor
+from tinyalm.autodiff import Tape, Tensor
+from tinyalm.checks import _op_cases
 from tinyalm.gradcheck import EvaluationError, grad_check
+from tinyalm.params import seeded_rng
 
 
 def test_quadratic_analytic():
@@ -50,3 +55,15 @@ def test_detects_a_wrong_gradient():
 
     report = grad_check(objective, {"x": x})
     assert not report.passed
+
+
+def test_op_sweep_covers_every_primitive():
+    # every op name autodiff records must appear on the tape of some FD case
+    # in checks._op_cases; ste_threshold is checked analytically instead
+    recorded = set(re.findall(r'_maybe_record\("(\w+)"', inspect.getsource(ad)))
+    swept = set()
+    for _name, fn, params in _op_cases(seeded_rng(0)):
+        with Tape() as tape:
+            fn(params)
+        swept.update(op for op, *_ in tape.nodes)
+    assert recorded == swept | {"ste_threshold"}

@@ -19,20 +19,26 @@ def unit(theta):
 
 
 def texts_for(b, d, lengths, seed=0):
+    """Right-padded [b, max(lengths), d] text batch plus its lengths; the
+    padding rows are noise too, which SACLM must ignore."""
     rng = seeded_rng(seed)
-    return [Tensor(rng.standard_normal((n, d)).astype(np.float32))
-            for n in lengths[:b]]
+    lengths = np.asarray(lengths[:b])
+    data = rng.standard_normal((b, lengths.max(), d)).astype(np.float32)
+    return Tensor(data), lengths
 
 
 def test_align_identity_and_replication():
     _, _, sac = make_saclm()
-    te = Tensor(seeded_rng(1).standard_normal((5, 64)).astype(np.float32))
-    out = sac.align_text([te], 5)
-    np.testing.assert_allclose(out.data[0], te.data, atol=1e-6)
-    one = Tensor(seeded_rng(2).standard_normal((1, 64)).astype(np.float32))
-    rep = sac.align_text([one], 4)
-    for t in range(4):
-        np.testing.assert_array_equal(rep.data[0, t], one.data[0])
+    full = seeded_rng(1).standard_normal((5, 2))
+    text = np.full((3, 5, 2), 1e6)   # padding that must not leak
+    text[0] = full                   # length 5 -> 5 rows: identity
+    text[1, 0] = [2.0, -1.0]         # length 1: constant replication
+    text[2, :2] = [[1.0, 2.0], [3.0, 6.0]]  # length 2: linear, midpoint
+    out = sac.align_text(Tensor(text.astype(np.float32)), [5, 1, 2], 5).data
+    np.testing.assert_allclose(out[0], full, atol=1e-6)
+    np.testing.assert_array_equal(out[1], np.tile([2.0, -1.0], (5, 1)))
+    np.testing.assert_allclose(out[2], [[1, 2], [1.5, 3], [2, 4], [2.5, 5],
+                                        [3, 6]], atol=1e-6)
 
 
 def test_score_zero_net_gives_half():
@@ -128,7 +134,7 @@ def test_negatives_require_batch_of_two():
         derangement(1, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         sac.forward(Tensor(np.zeros((1, 4, 64), dtype=np.float32)),
-                    texts_for(1, 64, [3]), np.random.default_rng(0))
+                    *texts_for(1, 64, [3]), np.random.default_rng(0))
 
 
 def test_triplet_hand_arithmetic():
@@ -173,7 +179,7 @@ def test_sparsity_value_and_gradient():
     for t in (sac.score_w1, sac.score_b1, sac.score_w2, sac.score_b2):
         t.data[...] = 0.0
     phi = Tensor(seeded_rng(12).standard_normal((2, 6, 64)).astype(np.float32))
-    out = sac.forward(phi, texts_for(2, 64, [4, 5]), np.random.default_rng(0))
+    out = sac.forward(phi, *texts_for(2, 64, [4, 5]), np.random.default_rng(0))
     assert abs(out.loss_sparsity.item() - 0.5 * np.float32(0.01)) < 1e-9
 
     # gradient of the sparsity term alone is lambda / (B * T_a), positive
@@ -190,8 +196,8 @@ def test_sparsity_value_and_gradient():
 def test_forward_shapes_and_losses():
     cfg, _, sac = make_saclm()
     phi = Tensor(seeded_rng(14).standard_normal((4, 10, 64)).astype(np.float32))
-    out = sac.forward(phi, texts_for(4, 64, [3, 4, 5, 6]),
-                      np.random.default_rng(1))
+    text, lengths = texts_for(4, 64, [3, 4, 5, 6])
+    out = sac.forward(phi, text, lengths, np.random.default_rng(1))
     assert out.scores.shape == (4, 10)
     assert out.decisions.shape == (4, 10)
     assert out.aggregated.shape == (4, 64)
@@ -202,22 +208,43 @@ def test_forward_shapes_and_losses():
     assert abs(got - want) < 1e-7
     assert np.all(out.negative_perm != np.arange(4))
 
+    # per-example reference: mean over each example's own rows, then one
+    # hinge per row
+    def cos_d(a, b):
+        return 1.0 - a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + cfg.eps_norm)
+
+    pooled = [text.data[i, :n].mean(axis=0) for i, n in enumerate(lengths)]
+    phi_p = out.aggregated.data
+    hinges = [max(cos_d(phi_p[i], pooled[i])
+                  - cos_d(phi_p[i], pooled[out.negative_perm[i]])
+                  + cfg.margin, 0.0) for i in range(4)]
+    assert abs(out.loss_triplet.item() - np.mean(hinges)) < 1e-6
+
+    # longer, different padding changes nothing beyond float32 rounding
+    wide = np.full((4, 9, 64), -1e3, dtype=np.float32)
+    wide[:, :6] = text.data
+    again = sac.forward(phi, Tensor(wide), lengths, np.random.default_rng(1))
+    np.testing.assert_allclose(again.scores.data, out.scores.data, atol=1e-6)
+    assert abs(again.loss_sac.item() - out.loss_sac.item()) < 1e-6
+
 
 def test_full_saclm_gradient_fd():
     cfg, store, sac = make_saclm(dtype="float64", d_model=6, score_hidden=5,
                                  agg_hidden=5, margin=0.2)
     rng = seeded_rng(15)
     phi = Tensor(rng.standard_normal((2, 6, 6)), requires_grad=True)
-    texts = [Tensor(rng.standard_normal((3, 6))),
-             Tensor(rng.standard_normal((5, 6)))]
+    text, lengths = np.zeros((2, 5, 6)), [3, 5]
+    text[0, :3] = rng.standard_normal((3, 6))
+    text[1] = rng.standard_normal((5, 6))
+    text = Tensor(text)
 
-    pilot = sac.forward(phi, texts, np.random.default_rng(2))
+    pilot = sac.forward(phi, text, lengths, np.random.default_rng(2))
     frozen_d = pilot.decisions.data.copy()
     # pin D: the straight-through path is an estimator, not FD-checkable
     assert np.all(np.abs(pilot.scores.data - 0.5) > 1e-3)
 
     def f():
-        return sac.forward(phi, texts, np.random.default_rng(2),
+        return sac.forward(phi, text, lengths, np.random.default_rng(2),
                            decisions=frozen_d).loss_sac
 
     params = dict(store.trainable_items())
@@ -228,12 +255,13 @@ def test_full_saclm_gradient_fd():
 
 def test_align_gradient_through_downstream():
     _, _, sac = make_saclm(dtype="float64", d_model=4)
-    te = Tensor(seeded_rng(16).standard_normal((3, 4)), requires_grad=True)
-    probe = Tensor(seeded_rng(17).standard_normal((1, 7, 4)))
+    # padded rows of the shorter example get zero gradient, FD-checked too
+    te = Tensor(seeded_rng(16).standard_normal((2, 4, 4)), requires_grad=True)
+    probe = Tensor(seeded_rng(17).standard_normal((2, 7, 4)))
 
     def f():
         from tinyalm.autodiff import mul, sum_
-        return sum_(mul(sac.align_text([te], 7), probe))
+        return sum_(mul(sac.align_text(te, [4, 2], 7), probe))
 
     report = grad_check(f, {"te": te})
     assert report.passed, report.format_table()
