@@ -581,6 +581,19 @@ def linear(x, w, b=None):
     return out
 
 
+def attention(q, k, v, allowed=None):
+    """softmax(q k^T / sqrt(d_k) + mask) v over the last two axes. Composite.
+
+    allowed: boolean array broadcastable to the scores; keys where it is
+    false get MASK_NEG, so their weight underflows to exactly 0."""
+    k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = scale(matmul(q, k_t), 1.0 / np.sqrt(k.shape[-1]))
+    if allowed is not None:
+        mask = np.where(allowed, 0.0, MASK_NEG).astype(scores.dtype)
+        scores = add(scores, Tensor(mask))
+    return matmul(softmax(scores, axis=-1), v)
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5):
     """Normalize the last axis, then scale and shift. Composite op."""
     mu = mean(x, axis=-1, keepdims=True)

@@ -81,6 +81,11 @@ def _op_cases(rng):
     yield "layer_norm", lambda p: ad.sum_(ad.mul(ad.layer_norm(p["x"], p["g"], p["b"]), p["c"])), \
         {"x": _t(rng, 3, 4), "g": Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True),
          "b": _t(rng, 4), "c": _t(rng, 3, 4)}
+    allowed = np.arange(5) < np.array([[2], [5], [4]])  # query rows see 2, 5, 4 keys
+    yield "attention", \
+        lambda p: ad.sum_(ad.mul(ad.attention(p["q"], p["k"], p["v"], allowed), p["c"])), \
+        {"q": _t(rng, 2, 3, 4), "k": _t(rng, 2, 5, 4), "v": _t(rng, 2, 5, 3),
+         "c": _t(rng, 2, 3, 3)}
 
 
 def _ste_analytic_check() -> dict:

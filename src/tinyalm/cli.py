@@ -212,7 +212,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except (ConfigError, DataFormatError, CheckpointError, UsageError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainAbort, AssertionError) as exc:

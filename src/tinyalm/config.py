@@ -97,6 +97,17 @@ class Config:
     def vocab_total(self) -> int:
         return self.vocab_symbols + 3
 
+    def noise_frames(self, n_signal: int) -> int:
+        """Noise base frames interleaved with n_signal signal frames."""
+        rho = self.noise_ratio
+        return int(round(n_signal * rho / (1.0 - rho))) if rho > 0 else 0
+
+    @property
+    def max_frames(self) -> int:
+        """Base frames of the longest record the task spec can produce."""
+        n_signal = self.max_tokens * self.frames_per_token
+        return n_signal + self.noise_frames(n_signal)
+
     @property
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
@@ -120,6 +131,16 @@ class Config:
             raise ConfigError("token length range is empty")
         if not (0.0 <= self.noise_ratio < 1.0):
             raise ConfigError(f"noise_ratio must lie in [0,1), got {self.noise_ratio}")
+        # limits of the u8/u16/u32 fields of the binary dataset format
+        frames = self.max_frames
+        for what, value, limit in (
+                ("token id vocab_symbols + 2 =", self.vocab_total - 1, 255),
+                ("targets per record max_tokens + 1 =", self.max_tokens + 1, 255),
+                ("frames per record", frames, 65535),
+                ("samples per record", frames * self.samples_per_frame, 2 ** 32 - 1)):
+            if value > limit:
+                raise ConfigError(f"{what} {value} exceeds the dataset format's "
+                                  f"limit of {limit}")
         for i, (w, s) in enumerate([(self.enc1_window, self.enc1_stride),
                                     (self.enc2_window, self.enc2_stride),
                                     (self.enc3_window, self.enc3_stride)], 1):

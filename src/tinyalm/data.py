@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
+from .config import Config, ConfigError
 from .params import seeded_rng
 
 MAGIC = b"TALM"
@@ -64,8 +64,7 @@ def gen_record(cfg: Config, seed: int, index: int,
 
     spf = cfg.samples_per_frame
     n_signal = n_tok * cfg.frames_per_token
-    rho = cfg.noise_ratio
-    n_noise = int(round(n_signal * rho / (1.0 - rho))) if rho > 0 else 0
+    n_noise = cfg.noise_frames(n_signal)
     total = n_signal + n_noise
     noise_at = np.sort(rng.choice(total, size=n_noise, replace=False)) \
         if n_noise else np.empty(0, dtype=np.int64)
@@ -88,7 +87,7 @@ def gen_record(cfg: Config, seed: int, index: int,
 
 def gen_dataset(cfg: Config, seed: int, n: int) -> list:
     if n < 1:
-        raise ValueError(f"need at least one record, got n={n}")
+        raise ConfigError(f"need at least one record, got n={n}")
     motifs = motif_table(cfg)
     return [gen_record(cfg, seed, i, motifs) for i in range(n)]
 
@@ -170,32 +169,30 @@ def load_dataset(path):
             records.append(_unpack_record(body, i))
         if off != len(raw):
             raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes")
-    except struct.error as e:
-        raise DataFormatError(f"{path}: truncated file ({e})") from None
+    except (struct.error, UnicodeDecodeError) as e:
+        raise DataFormatError(f"{path}: truncated or damaged file ({e})") from None
     return records, spec_line
 
 
 def _unpack_record(body: bytes, index: int) -> Record:
-    task_id, n_prompt = struct.unpack_from("<BB", body, 0)
-    off = 2
-    prompt = np.frombuffer(body, np.uint8, n_prompt, off).astype(np.int64)
-    off += n_prompt
-    (n_tok,) = struct.unpack_from("<B", body, off)
-    off += 1
-    tokens = np.frombuffer(body, np.uint8, n_tok, off).astype(np.int64)
-    off += n_tok
-    (n_tgt,) = struct.unpack_from("<B", body, off)
-    off += 1
-    targets = np.frombuffer(body, np.uint8, n_tgt, off).astype(np.int64)
-    off += n_tgt
-    (n_noise,) = struct.unpack_from("<H", body, off)
-    off += 2
-    noise = np.frombuffer(body, "<u2", n_noise, off).astype(np.int64)
-    off += 2 * n_noise
-    (n_samp,) = struct.unpack_from("<I", body, off)
-    off += 4
-    samples = np.frombuffer(body, "<f4", n_samp, off).copy()
-    off += 4 * n_samp
+    off = 0
+
+    def take(dtype, count=1):
+        nonlocal off
+        count = int(count)
+        end = off + np.dtype(dtype).itemsize * count
+        if end > len(body):
+            raise DataFormatError(f"record {index}: a count overruns the record")
+        arr = np.frombuffer(body, dtype, count, off)
+        off = end
+        return arr
+
+    task_id, n_prompt = take("u1", 2)
+    prompt = take("u1", n_prompt).astype(np.int64)
+    tokens = take("u1", take("u1")[0]).astype(np.int64)
+    targets = take("u1", take("u1")[0]).astype(np.int64)
+    noise = take("<u2", take("<u2")[0]).astype(np.int64)
+    samples = take("<f4", take("<u4")[0]).copy()
     if off != len(body):
         raise DataFormatError(f"record {index}: {len(body) - off} stray bytes")
     return Record(index=index, task_id=int(task_id), prompt_ids=prompt,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (MASK_NEG, Tensor, add, concat, embedding_lookup,
-                       layer_norm, linear, log_softmax, matmul, mul, relu,
-                       reshape, scale, slice_, softmax, sum_, transpose)
+from .autodiff import (Tensor, add, attention, concat, embedding_lookup,
+                       layer_norm, linear, log_softmax, matmul, relu, reshape,
+                       scale, slice_, sum_, transpose)
 from .config import Config, ConfigError
 from .params import ParamStore, seeded_rng
 
@@ -96,8 +96,7 @@ class ToyDecoder:
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return embedding_lookup(self.tok_embed, np.asarray(ids))
 
-    def forward(self, h: Tensor, key_valid=None, use_lora: bool = True,
-                collect_attn: bool = False):
+    def forward(self, h: Tensor, key_valid=None, use_lora: bool = True):
         """h: [B, L, d_model] embedded inputs (position added here).
 
         Returns logits [B, L, vocab]. Causal: position t sees keys <= t.
@@ -110,18 +109,13 @@ class ToyDecoder:
                              f"{cfg.max_seq}")
         n_heads = cfg.lm_heads
         dh = d // n_heads
-        dt = h.dtype
 
         pos = slice_(self.pos_embed, (slice(0, length),))
         x = add(h, pos)
 
-        causal = np.triu(np.full((length, length), MASK_NEG, dtype=dt), k=1)
-        mask_add = causal[None, None, :, :]
+        allowed = np.tril(np.ones((length, length), dtype=bool))
         if key_valid is not None:
-            key_add = np.where(key_valid > 0, 0.0, MASK_NEG).astype(dt)
-            mask_add = mask_add + key_add[:, None, None, :]
-        mask_t = Tensor(mask_add)
-        self.last_attn = [] if collect_attn else None
+            allowed = allowed & (np.asarray(key_valid) > 0)[:, None, None, :]
 
         def split_heads(t):
             return transpose(reshape(t, (batch, length, n_heads, dh)),
@@ -131,16 +125,10 @@ class ToyDecoder:
             a = layer_norm(x, *layer["ln1"])
             wq = layer["lora_q"].apply(layer["wq"]) if use_lora else layer["wq"]
             wv = layer["lora_v"].apply(layer["wv"]) if use_lora else layer["wv"]
-            qh = split_heads(matmul(a, wq))
-            kh = split_heads(matmul(a, layer["wk"]))
-            vh = split_heads(matmul(a, wv))
-            scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))),
-                           1.0 / math.sqrt(dh))
-            att = softmax(add(scores, mask_t), axis=-1)
-            if collect_attn:
-                self.last_attn.append(att.data.copy())
-            ctx = transpose(matmul(att, vh), (0, 2, 1, 3))
-            ctx = reshape(ctx, (batch, length, d))
+            ctx = attention(split_heads(matmul(a, wq)),
+                            split_heads(matmul(a, layer["wk"])),
+                            split_heads(matmul(a, wv)), allowed)
+            ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, length, d))
             x = add(x, matmul(ctx, layer["wo"]))
 
             f = layer_norm(x, *layer["ln2"])
@@ -157,12 +145,10 @@ def ce_loss(logits: Tensor, labels: np.ndarray, loss_mask: np.ndarray) -> Tensor
     total = float(mask.sum())
     if total == 0:
         raise ConfigError("ce_loss needs at least one supervised position")
-    b, length, v = logits.shape
-    pick = np.zeros((b, length, v), dtype=logits.dtype)
     rows, cols = np.nonzero(mask > 0)
-    pick[rows, cols, np.asarray(labels)[rows, cols]] = 1.0
-    logp = log_softmax(logits, axis=-1)
-    return scale(sum_(mul(logp, Tensor(pick))), -1.0 / total)
+    picked = slice_(log_softmax(logits, axis=-1),
+                    (rows, cols, np.asarray(labels)[rows, cols]))
+    return scale(sum_(picked), -1.0 / total)
 
 
 def build_sequence(cfg: Config, decoder: ToyDecoder, audio_prefix: Tensor,

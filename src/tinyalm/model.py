@@ -77,17 +77,6 @@ class Model:
     def trainable_count(self) -> int:
         return self.store.trainable_count()
 
-    def audio_window_valid(self, mask: np.ndarray) -> np.ndarray:
-        """[B, n_win * N]: window positions backed by at least one real frame."""
-        b, t = mask.shape
-        w = self.cfg.window_frames
-        n_win = self.qformer.n_windows(t)
-        padded = np.zeros((b, n_win * w), dtype=mask.dtype)
-        padded[:, :t] = mask
-        valid = (padded.reshape(b, n_win, w).sum(axis=2) > 0)
-        return np.repeat(valid, self.cfg.n_queries,
-                         axis=1).astype(self.cfg.np_dtype)
-
     def audio_len_bound(self) -> int:
         """Largest audio-prefix length the data spec can produce.
 
@@ -96,10 +85,7 @@ class Model:
         at the same positions in every batch and during greedy decoding.
         """
         cfg = self.cfg
-        n_signal = cfg.max_tokens * cfg.frames_per_token
-        rho = cfg.noise_ratio
-        n_noise = int(round(n_signal * rho / (1.0 - rho))) if rho > 0 else 0
-        max_samples = (n_signal + n_noise) * cfg.samples_per_frame
+        max_samples = cfg.max_frames * cfg.samples_per_frame
         t_max = max(e.out_length(max_samples) for e in self.encoders.encoders)
         return self.qformer.n_windows(t_max) * cfg.n_queries
 
@@ -135,8 +121,7 @@ class Model:
             phi, routing = projected.values, projected.routing_weights
 
         audio_prefix = linear(phi, self.audio_w, self.audio_b)
-        audio_valid = self.audio_window_valid(fused.mask)
-        audio_prefix, audio_valid = self.pad_audio(audio_prefix, audio_valid)
+        audio_prefix, audio_valid = self.pad_audio(audio_prefix, zfeat.valid)
         prompt_vecs = embedding_lookup(self.lm_prompt_embed, prompt_ids)
         return fused, zfeat, phi, routing, audio_prefix, audio_valid, prompt_vecs
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (MASK_NEG, Tensor, add, concat, layer_norm, linear,
-                       matmul, mul, reshape, scale, softmax, transpose)
+from .autodiff import (Tensor, add, attention, concat, layer_norm, linear,
+                       matmul, mul, reshape)
 from .config import Config
 from .params import ParamStore, seeded_rng
 
@@ -18,7 +18,7 @@ from .params import ParamStore, seeded_rng
 @dataclass
 class QueryFeatures:
     values: Tensor            # [B, n_windows * N, d_model]
-    window_index: np.ndarray  # [n_windows * N] source window per output position
+    valid: np.ndarray         # [B, n_windows * N] 1.0 where the window has a real frame
     empty_windows: int        # windows with zero valid frames (diagnostic)
 
 
@@ -72,7 +72,6 @@ class WindowQFormer:
         self.cross_wv = w("cross.wv", (d, d))
         self.cross_wo = w("cross.wo", (d, d))
         self.out_ln = ln("out_ln")
-        self.last_cross_weights = None  # [B, n_win, N, W] probe, numpy
 
     def n_windows(self, t: int) -> int:
         return -(-t // self.window)
@@ -98,32 +97,23 @@ class WindowQFormer:
         has_valid = (mask_w.sum(axis=1) > 0).astype(dt)
         empty = int((has_valid == 0).sum())
 
-        # broadcast against zeros to tile the query bank per window
-        q0 = add(self.query, Tensor(np.zeros((batch * n_win, n_q, d), dtype=dt)))
-        inv_scale = 1.0 / math.sqrt(d)
+        # The query side does not depend on the input: run it once on
+        # [n_q, d] and let it broadcast against the [B*n_win, ...] windows.
+        h = layer_norm(self.query, *self.self_ln)
+        q1 = add(self.query, matmul(attention(matmul(h, self.self_wq),
+                                              matmul(h, self.self_wk),
+                                              matmul(h, self.self_wv)),
+                                    self.self_wo))
 
-        h = layer_norm(q0, *self.self_ln)
-        att = softmax(scale(matmul(matmul(h, self.self_wq),
-                                   transpose(matmul(h, self.self_wk), (0, 2, 1))),
-                            inv_scale), axis=-1)
-        q1 = add(q0, matmul(matmul(att, matmul(h, self.self_wv)), self.self_wo))
-
-        h2 = layer_norm(q1, *self.cross_ln)
-        keys = matmul(u_w, self.cross_wk)
-        vals = matmul(u_w, self.cross_wv)
-        scores = scale(matmul(matmul(h2, self.cross_wq),
-                              transpose(keys, (0, 2, 1))), inv_scale)
-        # additive mask: invalid frames pushed to MASK_NEG, exp underflows to 0
-        mask_add = np.where(mask_w > 0, 0.0, MASK_NEG).astype(dt)
-        scores = add(scores, Tensor(mask_add[:, None, :]))
-        cross = softmax(scores, axis=-1)
-        attended = matmul(matmul(cross, vals), self.cross_wo)
+        q_cross = matmul(layer_norm(q1, *self.cross_ln), self.cross_wq)
+        attended = matmul(attention(q_cross, matmul(u_w, self.cross_wk),
+                                    matmul(u_w, self.cross_wv),
+                                    allowed=(mask_w > 0)[:, None, :]),
+                          self.cross_wo)
         # empty windows contribute nothing: the self-attended query passes through
         q2 = add(q1, mul(attended, Tensor(has_valid[:, None, None])))
 
         z = layer_norm(q2, *self.out_ln)
         z = reshape(z, (batch, n_win * n_q, d))
-        self.last_cross_weights = cross.data.reshape(batch, n_win, n_q, w_len).copy()
-        window_index = np.repeat(np.arange(n_win), n_q)
-        return QueryFeatures(values=z, window_index=window_index,
-                             empty_windows=empty)
+        valid = np.repeat(has_valid.reshape(batch, n_win), n_q, axis=1)
+        return QueryFeatures(values=z, valid=valid, empty_windows=empty)

@@ -125,10 +125,12 @@ class Saclm:
 
     def triplet(self, phi_p: Tensor, t_pos: Tensor, t_neg: Tensor) -> Tensor:
         """Mean over rows of max(0, d(phi_p, t_pos) - d(phi_p, t_neg) + m)."""
-        eps = self.cfg.eps_norm
-        d_pos = cosine_distance(phi_p, t_pos, eps)
-        d_neg = cosine_distance(phi_p, t_neg, eps)
-        return mean(relu(add(sub(d_pos, d_neg), self.cfg.margin)))
+        b, d = t_pos.shape
+        texts = concat([reshape(t_pos, (1, b, d)), reshape(t_neg, (1, b, d))])
+        # one [2, B] distance call: the anchor's norm is computed once
+        dist = cosine_distance(phi_p, texts, self.cfg.eps_norm)
+        gap = sub(slice_(dist, 0), slice_(dist, 1))
+        return mean(relu(add(gap, self.cfg.margin)))
 
     def forward(self, phi: Tensor, text: Tensor, lengths,
                 rng: np.random.Generator, decisions=None) -> SaclmOutput:

@@ -111,6 +111,22 @@ def test_corrupt_dataset_is_usage_error(workdir, capsys):
     assert rc == 2
 
 
+def test_gen_data_zero_records_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL)
+    rc = main(["gen-data", "--spec", str(cfg), "--n", "0",
+               "--out", str(tmp_path / "d.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_checkpoint_directory_is_usage_error(workdir, capsys):
+    root, cfg, data = workdir
+    rc = main(["eval", "--ckpt", str(root), "--data", str(data)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gradcheck_op_scope_passes(capsys):
     rc = main(["gradcheck", "--scope", "op"])
     captured = capsys.readouterr().out

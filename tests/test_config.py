@@ -72,6 +72,30 @@ def test_validate_rejects_out_of_range():
         Config(dtype="f16").validate()
 
 
+def test_validate_rejects_token_ids_beyond_u8():
+    # ids run to vocab_symbols + 2 (PAD) and the dataset stores them as u8
+    Config(vocab_symbols=253).validate()
+    for v in (254, 300):
+        with pytest.raises(ConfigError, match="vocab_symbols"):
+            Config(vocab_symbols=v).validate()
+
+
+def test_validate_rejects_target_count_beyond_u8():
+    # a record stores max_tokens + 1 targets (EOS included) behind a u8 count
+    Config(max_tokens=254).validate()
+    with pytest.raises(ConfigError, match="max_tokens"):
+        Config(max_tokens=255).validate()
+
+
+def test_validate_rejects_frames_beyond_u16():
+    # noise positions are u16 frame indices behind a u16 count
+    Config(max_tokens=200, frames_per_token=300, noise_ratio=0.0).validate()
+    with pytest.raises(ConfigError, match="65535"):
+        Config(max_tokens=200, frames_per_token=300).validate()
+    with pytest.raises(ConfigError, match="samples per record"):
+        Config(samples_per_frame=100_000_000).validate()
+
+
 def test_fingerprint_tracks_content():
     assert (fingerprint(dump_config(Config()))
             != fingerprint(dump_config(Config(lr=1e-4))))

@@ -114,6 +114,22 @@ def test_truncated_file_rejected(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("field", ["prompt", "tokens"])
+def test_inflated_inner_count_rejected(tmp_path, field):
+    cfg = Config()
+    p = tmp_path / "d.bin"
+    save_dataset(p, gen_dataset(cfg, 0, 2), cfg)
+    raw = bytearray(p.read_bytes())
+    spec_len = int.from_bytes(raw[8:10], "little")
+    body = 10 + spec_len + 4 + 4   # header, record count, first length prefix
+    # body: task id, prompt count, prompt ids, token count, ...
+    at = body + 1 if field == "prompt" else body + 2 + raw[body + 1]
+    raw[at] = 200
+    p.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="record 0"):
+        load_dataset(p)
+
+
 def test_jsonl_twin(tmp_path):
     import json
     cfg = Config()

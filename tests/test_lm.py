@@ -48,11 +48,21 @@ def test_lora_delta_rank_bounded():
             assert (sv > 1e-6 * sv[0]).sum() <= cfg.lora_rank
 
 
+def taped_attention(dec, h, key_valid=None):
+    """Per-layer attention weights, read from the decoder's softmax nodes.
+    The LoRA adapters are trainable, so every layer's attention is taped."""
+    with Tape() as tape:
+        dec.forward(h, key_valid=key_valid)
+    att = [out.data for op, _, out, _ in tape.nodes if op == "softmax"]
+    assert len(att) == dec.cfg.lm_layers
+    return att
+
+
 def test_attention_rows_sum_to_one():
     _, _, dec = make_lm()
     h = embed_random(dec, 2, 7, seed=2)
-    dec.forward(h, collect_attn=True)
-    for att in dec.last_attn:
+    for att in taped_attention(dec, h):
+        assert att.shape == (2, dec.cfg.lm_heads, 7, 7)
         sums = att.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         # strictly causal: no weight above the diagonal
@@ -77,8 +87,7 @@ def test_key_valid_masks_weight_to_exact_zero():
     h = embed_random(dec, 1, 6, seed=4)
     key_valid = np.ones((1, 6), dtype=np.float32)
     key_valid[0, 2] = 0.0
-    dec.forward(h, key_valid=key_valid, collect_attn=True)
-    for att in dec.last_attn:
+    for att in taped_attention(dec, h, key_valid):
         assert np.all(att[:, :, 3:, 2] == 0.0)  # rows that could see key 2
 
 
@@ -116,6 +125,19 @@ def test_ce_confident_correct_is_near_zero():
     val = ce_loss(Tensor(logits), np.array([[7]]),
                   np.ones((1, 1), dtype=np.float32)).item()
     assert val < 1e-6
+
+
+def test_ce_matches_per_position_reference():
+    rng = seeded_rng(8)
+    logits = rng.standard_normal((2, 4, 6)).astype(np.float32)
+    labels = rng.integers(0, 6, size=(2, 4))
+    mask = np.array([[1, 1, 0, 0], [0, 1, 1, 1]], dtype=np.float32)
+    want = []
+    for b, t in zip(*np.nonzero(mask)):
+        row = logits[b, t].astype(np.float64)
+        want.append(np.log(np.exp(row).sum()) - row[labels[b, t]])
+    got = ce_loss(Tensor(logits), labels, mask).item()
+    assert abs(got - np.mean(want)) < 1e-6
 
 
 def test_ce_all_masked_rejected():

@@ -22,6 +22,16 @@ def run(qf, b, t, d, seed=0, mask=None):
     return qf.forward(u, mask)
 
 
+def taped_attention(qf, b, t, d, seed=0, mask=None):
+    """Forward on a tape; returns (features, self weights, cross weights)
+    read from the two softmax nodes the Q-Former records."""
+    with Tape() as tape:
+        z = run(qf, b, t, d, seed=seed, mask=mask)
+    att = [out.data for op, _, out, _ in tape.nodes if op == "softmax"]
+    assert len(att) == 2
+    return z, att[0], att[1]
+
+
 def test_length_law_examples():
     _, _, qf = make_qf(window_frames=10, n_queries=1)
     assert run(qf, 1, 100, 64).values.shape == (1, 10, 64)
@@ -32,10 +42,30 @@ def test_length_law_examples():
 def test_length_law_sweep():
     _, _, qf = make_qf(window_frames=8, n_queries=2)
     for t in [1, 7, 8, 9, 16, 17, 40]:
-        z = run(qf, 1, t, 64)
-        want = -(-t // 8) * 2
-        assert z.values.shape[1] == want
-        assert list(z.window_index) == [i for i in range(-(-t // 8)) for _ in range(2)]
+        z, _, cross = taped_attention(qf, 1, t, 64)
+        n_win = -(-t // 8)
+        assert z.values.shape[1] == n_win * 2
+        assert cross.shape == (n_win, 2, 8)  # one [N, W] block per window
+        np.testing.assert_array_equal(z.valid, np.ones((1, n_win * 2)))
+
+
+def test_query_self_attention_runs_once():
+    _, _, qf = make_qf(n_queries=3)
+    for b, t in [(1, 5), (2, 19), (4, 40)]:
+        _, self_att, cross = taped_attention(qf, b, t, 64)
+        assert self_att.shape == (3, 3)
+        assert cross.shape == (b * -(-t // 8), 3, 8)
+
+
+def test_valid_marks_windows_with_a_real_frame():
+    _, _, qf = make_qf(window_frames=4, n_queries=2)
+    mask = np.ones((2, 10), dtype=np.float32)
+    mask[0, 4:] = 0.0   # windows 1 and 2 of example 0 are empty
+    mask[1, 9:] = 0.0   # the ragged last window keeps frame 8
+    z = run(qf, 2, 10, 64, mask=mask)
+    np.testing.assert_array_equal(z.valid, [[1, 1, 0, 0, 0, 0],
+                                            [1, 1, 1, 1, 1, 1]])
+    assert z.empty_windows == 2
 
 
 def test_doubling_input_doubles_output():
@@ -49,19 +79,19 @@ def test_masked_positions_get_exactly_zero_weight():
     _, _, qf = make_qf(window_frames=8)
     mask = np.ones((1, 8), dtype=np.float32)
     mask[0, 5:] = 0.0
-    run(qf, 1, 8, 64, mask=mask)
-    w = qf.last_cross_weights[0, 0, 0]  # [W]
+    _, _, cross = taped_attention(qf, 1, 8, 64, mask=mask)
+    w = cross[0, 0]  # [W]
     assert np.all(w[5:] == 0.0)
     assert abs(w[:5].sum() - 1.0) < 1e-6
 
 
 def test_weights_sum_to_one_over_valid():
     _, _, qf = make_qf()
-    z = run(qf, 2, 19, 64, seed=3)
-    w = qf.last_cross_weights  # [B, n_win, N, W]
+    z, self_att, cross = taped_attention(qf, 2, 19, 64, seed=3)
     assert z.values.shape[1] == 3
-    sums = w.sum(axis=-1)
-    assert np.all(np.abs(sums - 1.0) < 1e-6)
+    assert cross.shape == (2 * 3, 1, 8)  # [B * n_win, N, W]
+    for w in (self_att, cross):
+        assert np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-6)
 
 
 def test_identical_frames_attention_convexity():
