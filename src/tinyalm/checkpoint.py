@@ -6,11 +6,13 @@ forced."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .config import fingerprint
+from .data import Reader
 
 MAGIC = b"TCKP"
 FORMAT_VERSION = 1
@@ -30,30 +32,23 @@ def _write_tensor(f, name: str, arr: np.ndarray):
     f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-class _Reader:
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.raw):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.raw[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def tensor(self):
-        (nlen,) = self.unpack("<H")
-        name = self.take(nlen).decode()
-        (rank,) = self.unpack("<B")
-        shape = tuple(self.unpack("<I")[0] for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(shape)
-        return name, data.copy()
+def _read_tensors(r: Reader, count: int, what: str, shapes: dict) -> dict:
+    """Read count tensors whose names and shapes must be exactly `shapes`;
+    each value is a read-only view of the file's bytes."""
+    got = {}
+    for _ in range(count):
+        name = r.text(*r.unpack("<H"))
+        (rank,) = r.unpack("<B")
+        shape = r.unpack(f"<{rank}I")
+        if name not in shapes:
+            r.fail(f"unknown {what} {name!r}")
+        if shape != shapes[name]:
+            r.fail(f"{what} shape mismatch for {name}: {shape} vs {shapes[name]}")
+        got[name] = r.array("<f4", math.prod(shape)).reshape(shape)
+    missing = shapes.keys() - got.keys()
+    if missing:
+        r.fail(f"missing {what}s {sorted(missing)[:4]}")
+    return got
 
 
 def save_checkpoint(path, store, opt, step: int, config_text: str):
@@ -83,23 +78,13 @@ def save_checkpoint(path, store, opt, step: int, config_text: str):
 
 def peek_checkpoint(path) -> dict:
     """Header only: version, fingerprint, config text, step."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    r = _Reader(raw, path)
-    r.take(4)
-    (version,) = r.unpack("<I")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    fp = r.take(64).decode()
-    (clen,) = r.unpack("<I")
-    config_text = r.take(clen).decode()
+    r = Reader.open(path, MAGIC, FORMAT_VERSION, CheckpointError)
+    fp = r.text(64)
+    config_text = r.text(*r.unpack("<I"))
     (step,) = r.unpack("<Q")
     if fingerprint(config_text) != fp:
-        raise CheckpointError(f"{path}: fingerprint does not match the "
-                              f"embedded config text")
-    return {"version": version, "fingerprint": fp,
+        r.fail("fingerprint does not match the embedded config text")
+    return {"version": FORMAT_VERSION, "fingerprint": fp,
             "config_text": config_text, "step": step, "_reader": r}
 
 
@@ -119,53 +104,21 @@ def load_checkpoint(path, store, opt=None, config_text: str = None,
                 f"{head['fingerprint'][:12]}.., current {want[:12]}..); "
                 f"pass force to override")
     r = head["_reader"]
-    (n_tensors,) = r.unpack("<I")
     named = dict(store.items())
-    seen = set()
-    staged = []
-    for _ in range(n_tensors):
-        name, data = r.tensor()
-        if name not in named:
-            raise CheckpointError(f"{path}: unknown tensor {name!r}")
-        if named[name].data.shape != data.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name}: "
-                                  f"{data.shape} vs {named[name].data.shape}")
-        staged.append((name, data))
-        seen.add(name)
-    missing = set(named) - seen
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {sorted(missing)[:4]}")
-
-    trainable = {n: t.data.shape for n, t in store.trainable_items()}
-    staged_moments = []
-    (n_mom,) = r.unpack("<I")
-    for _ in range(n_mom):
-        m_name, m_data = r.tensor()
-        v_name, v_data = r.tensor()
-        base = m_name[:-2]
-        if not (m_name.endswith(".m") and v_name == base + ".v"):
-            raise CheckpointError(f"{path}: malformed moment pair "
-                                  f"{m_name!r}/{v_name!r}")
-        if base not in trainable:
-            raise CheckpointError(f"{path}: moments for unknown trainable "
-                                  f"{base!r}")
-        if m_data.shape != trainable[base] or v_data.shape != trainable[base]:
-            raise CheckpointError(f"{path}: moment shape mismatch for {base}: "
-                                  f"{m_data.shape}/{v_data.shape} vs "
-                                  f"{trainable[base]}")
-        staged_moments.append((base, m_data, v_data))
-    missing = set(trainable) - {base for base, _, _ in staged_moments}
-    if missing:
-        raise CheckpointError(f"{path}: missing moments {sorted(missing)[:4]}")
-    if r.off != len(r.raw):
-        raise CheckpointError(f"{path}: {len(r.raw) - r.off} trailing bytes")
+    staged = _read_tensors(r, *r.unpack("<I"), "tensor",
+                           {n: t.data.shape for n, t in named.items()})
+    trainable = [n for n, _ in store.trainable_items()]
+    moments = _read_tensors(r, 2 * r.unpack("<I")[0], "moment",
+                            {f"{n}.{k}": named[n].data.shape
+                             for n in trainable for k in "mv"})
+    r.done()
 
     # all validated: apply atomically
-    for name, data in staged:
+    for name, data in staged.items():
         named[name].data[...] = data
     if opt is not None:
-        for base, m_data, v_data in staged_moments:
-            opt.m[base][...] = m_data
-            opt.v[base][...] = v_data
+        for n in trainable:
+            opt.m[n][...] = moments[n + ".m"]
+            opt.v[n][...] = moments[n + ".v"]
         opt.step_count = head["step"]
     return head["step"]

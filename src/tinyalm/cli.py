@@ -15,13 +15,13 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, peek_checkpoint, save_checkpoint
 from .checks import format_report, run_model_suite, run_op_suite
-from .config import (Config, ConfigError, dump_config, load_config,
+from .config import (TASKS, Config, ConfigError, dump_config, load_config,
                      parse_config, save_config)
 from .data import (DataFormatError, file_digest, gen_dataset, load_dataset,
-                   save_dataset, spec_line, write_jsonl)
+                   save_dataset, write_jsonl)
 from .model import Model, trainable_param_formula
 from .optim import AdamW
-from .train import TrainAbort, evaluate, format_metrics, run_training
+from .train import TrainAbort, eval_batches, evaluate, format_metrics, run_training
 
 
 class UsageError(ValueError):
@@ -51,21 +51,11 @@ def _apply_ablation(cfg: Config, name: str) -> Config:
     return dataclasses.replace(cfg, **table[name])
 
 
-def _load_records(path, cfg: Config):
-    records, spec = load_dataset(path)
-    want = spec_line(cfg)
-    if spec != want:
-        raise DataFormatError(
-            f"{path}: dataset spec does not match the config\n"
-            f"  data:   {spec}\n  config: {want}")
-    return records
-
-
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.ablate:
         cfg = _apply_ablation(cfg, args.ablate)
-    records = _load_records(args.data, cfg)
+    records = load_dataset(args.data, cfg)
     model = Model(cfg)
     opt = AdamW(model.store, cfg)
 
@@ -99,7 +89,7 @@ def _restore(ckpt_path):
 
 def _cmd_eval(args) -> int:
     cfg, model, step = _restore(args.ckpt)
-    records = _load_records(args.data, cfg)
+    records = load_dataset(args.data, cfg)
     metrics = evaluate(model, records)
     print(f"checkpoint step {step}, {len(records)} records")
     print(format_metrics(metrics))
@@ -124,21 +114,16 @@ def _cmd_inspect_routing(args) -> int:
     import json
 
     cfg, model, step = _restore(args.ckpt)
-    records = _load_records(args.data, cfg)
+    records = load_dataset(args.data, cfg)
     if cfg.disable_tapm:
         raise UsageError("checkpoint was trained with TAPM disabled; "
                          "there is no routing to inspect")
-    from .params import seeded_rng
-    sums = np.zeros((2, cfg.n_experts)); counts = np.zeros(2)
+    routing = {t: [] for t in TASKS}
     dump = [] if args.dump_scores else None
-    for lo in range(0, len(records), cfg.batch_size):
-        batch = records[lo:lo + cfg.batch_size]
-        out = model.forward_batch(batch, seeded_rng(9, lo))
-        for r, w in zip(batch, out.routing.data):
-            sums[r.task_id] += w
-            counts[r.task_id] += 1
-        if dump is not None and out.sac is not None:
-            for j, r in enumerate(batch):
+    for batch, out in eval_batches(model, records):
+        for j, r in enumerate(batch):
+            routing[r.task_id].append(out.routing.data[j])
+            if dump is not None and out.sac is not None:
                 dump.append({"index": r.index, "task_id": int(r.task_id),
                              "scores": out.sac.scores.data[j].round(6).tolist(),
                              "decisions": out.sac.decisions.data[j].tolist(),
@@ -151,13 +136,9 @@ def _cmd_inspect_routing(args) -> int:
     print(f"checkpoint step {step}, {len(records)} records")
     header = "task      " + "".join(f"  expert{i}" for i in range(cfg.n_experts))
     print(header)
-    means = []
-    for tid, name in enumerate(("copy", "reverse")):
-        if counts[tid] == 0:
-            continue
-        mean = sums[tid] / counts[tid]
-        means.append(mean)
-        print(f"{name:10s}" + "".join(f"  {w:.4f}" for w in mean))
+    means = {t: np.mean(rows, axis=0) for t, rows in routing.items() if rows}
+    for t, mean in means.items():
+        print(f"{TASKS[t][0]:10s}" + "".join(f"  {w:.4f}" for w in mean))
     if len(means) == 2:
         print(f"L1 distance {np.abs(means[0] - means[1]).sum():.4f}")
     return 0

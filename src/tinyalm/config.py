@@ -17,6 +17,10 @@ class ConfigError(ValueError):
     pass
 
 
+# task id -> (name, prompt token ids in the separate prompt vocabulary)
+TASKS = {0: ("copy", (0, 1)), 1: ("reverse", (2, 3))}
+
+
 @dataclass
 class Config:
     # model dimensions
@@ -102,10 +106,9 @@ class Config:
         rho = self.noise_ratio
         return int(round(n_signal * rho / (1.0 - rho))) if rho > 0 else 0
 
-    @property
-    def max_frames(self) -> int:
-        """Base frames of the longest record the task spec can produce."""
-        n_signal = self.max_tokens * self.frames_per_token
+    def record_frames(self, n_tokens: int) -> int:
+        """Base frames of a record of n_tokens tokens: signal plus noise."""
+        n_signal = n_tokens * self.frames_per_token
         return n_signal + self.noise_frames(n_signal)
 
     @property
@@ -113,6 +116,16 @@ class Config:
         return np.float64 if self.dtype == "float64" else np.float32
 
     def validate(self):
+        for name in ("lm_heads", "n_queries", "window_frames", "frames_per_token",
+                     "samples_per_frame", "batch_size", "min_tokens", "enc1_window",
+                     "enc1_stride", "enc2_window", "enc2_stride", "enc3_window",
+                     "enc3_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        prompt_ids = 1 + max(max(ids) for _, ids in TASKS.values())
+        if self.prompt_vocab < prompt_ids:
+            raise ConfigError(f"prompt_vocab {self.prompt_vocab} cannot hold the "
+                              f"task prompt ids 0..{prompt_ids - 1}")
         if not (0.0 < self.warmup_ratio < 1.0):
             raise ConfigError(f"warmup_ratio must lie in (0,1), got {self.warmup_ratio}")
         if not (0.0 <= self.alpha_mix <= 1.0):
@@ -125,14 +138,12 @@ class Config:
             raise ConfigError(f"threshold must lie in (0,1), got {self.threshold}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.n_queries < 1 or self.window_frames < 1:
-            raise ConfigError("n_queries and window_frames must be >= 1")
-        if self.min_tokens < 1 or self.max_tokens < self.min_tokens:
+        if self.max_tokens < self.min_tokens:
             raise ConfigError("token length range is empty")
         if not (0.0 <= self.noise_ratio < 1.0):
             raise ConfigError(f"noise_ratio must lie in [0,1), got {self.noise_ratio}")
         # limits of the u8/u16/u32 fields of the binary dataset format
-        frames = self.max_frames
+        frames = self.record_frames(self.max_tokens)
         for what, value, limit in (
                 ("token id vocab_symbols + 2 =", self.vocab_total - 1, 255),
                 ("targets per record max_tokens + 1 =", self.max_tokens + 1, 255),
@@ -141,11 +152,11 @@ class Config:
             if value > limit:
                 raise ConfigError(f"{what} {value} exceeds the dataset format's "
                                   f"limit of {limit}")
-        for i, (w, s) in enumerate([(self.enc1_window, self.enc1_stride),
-                                    (self.enc2_window, self.enc2_stride),
-                                    (self.enc3_window, self.enc3_stride)], 1):
-            if w < 1 or s < 1:
-                raise ConfigError(f"encoder {i} window/stride must be >= 1")
+        shortest = self.record_frames(self.min_tokens) * self.samples_per_frame
+        widest = max(self.enc1_window, self.enc2_window, self.enc3_window)
+        if shortest < widest:
+            raise ConfigError(f"the shortest record has {shortest} samples, fewer "
+                              f"than the widest encoder window {widest}")
         return self
 
 

@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, ConfigError
+from .config import TASKS, Config, ConfigError
 from .params import seeded_rng
 
 MAGIC = b"TALM"
 FORMAT_VERSION = 1
-
-# task id -> (name, prompt token ids in the separate prompt vocabulary)
-TASKS = {0: ("copy", (0, 1)), 1: ("reverse", (2, 3))}
 
 
 class DataFormatError(ValueError):
@@ -143,61 +140,111 @@ def save_dataset(path, records: list, cfg: Config):
             f.write(_pack_record(r))
 
 
-def load_dataset(path):
-    """Returns (records, spec_line). Raises DataFormatError on damage."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}")
-    try:
-        version, spec_len = struct.unpack_from("<IH", raw, 4)
-        if version != FORMAT_VERSION:
-            raise DataFormatError(f"{path}: unsupported format version {version}")
-        off = 10
-        spec_line = raw[off:off + spec_len].decode()
-        off += spec_len
-        (n,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        records = []
-        for i in range(n):
-            (blen,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            body = raw[off:off + blen]
-            if len(body) != blen:
-                raise DataFormatError(f"{path}: record {i} truncated")
-            off += blen
-            records.append(_unpack_record(body, i))
-        if off != len(raw):
-            raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes")
-    except (struct.error, UnicodeDecodeError) as e:
-        raise DataFormatError(f"{path}: truncated or damaged file ({e})") from None
-    return records, spec_line
+class Reader:
+    """Bounds-checked little-endian reads over the bytes of one file, shared
+    by the dataset and checkpoint formats. Any damage raises `error` (the
+    format's own exception) with `where` (the path) in the message."""
+
+    def __init__(self, raw, where, error):
+        self.raw = memoryview(raw)
+        self.off = 0
+        self.where = where
+        self.error = error
+
+    @classmethod
+    def open(cls, path, magic: bytes, version: int, error):
+        """Read the whole file and check its magic and format version."""
+        with open(path, "rb") as f:
+            r = cls(f.read(), path, error)
+        if r.raw[:4] != magic:
+            r.fail(f"bad magic {bytes(r.raw[:4])!r}")
+        r.off = 4
+        (found,) = r.unpack("<I")
+        if found != version:
+            r.fail(f"unsupported format version {found}")
+        return r
+
+    def fail(self, msg: str):
+        raise self.error(f"{self.where}: {msg}")
+
+    def take(self, n: int) -> memoryview:
+        if self.off + n > len(self.raw):
+            self.fail(f"truncated: {n} bytes wanted at offset {self.off}")
+        self.off += n
+        return self.raw[self.off - n:self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """`count` items of `dtype`: a read-only view of the file's bytes."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype)
+
+    def text(self, n: int) -> str:
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError:
+            self.fail(f"text at offset {self.off - n} is not UTF-8")
+
+    def done(self):
+        if self.off != len(self.raw):
+            self.fail(f"{len(self.raw) - self.off} trailing bytes")
 
 
-def _unpack_record(body: bytes, index: int) -> Record:
-    off = 0
+def load_dataset(path, cfg: Config) -> list:
+    """Records of a dataset written under cfg's task spec. Raises
+    DataFormatError on damage, a foreign spec, or a record the spec
+    cannot produce."""
+    r = Reader.open(path, MAGIC, FORMAT_VERSION, DataFormatError)
+    spec, want = r.text(*r.unpack("<H")), spec_line(cfg)
+    if spec != want:
+        r.fail(f"dataset spec does not match the config\n"
+               f"  data:   {spec}\n  config: {want}")
+    records = []
+    for i in range(*r.unpack("<I")):
+        body = Reader(r.take(*r.unpack("<I")), f"{path}: record {i}",
+                      DataFormatError)
+        rec = _unpack_record(body, i)
+        why = _unproducible(rec, cfg)
+        if why:
+            body.fail(why)
+        records.append(rec)
+    r.done()
+    return records
 
-    def take(dtype, count=1):
-        nonlocal off
-        count = int(count)
-        end = off + np.dtype(dtype).itemsize * count
-        if end > len(body):
-            raise DataFormatError(f"record {index}: a count overruns the record")
-        arr = np.frombuffer(body, dtype, count, off)
-        off = end
-        return arr
 
-    task_id, n_prompt = take("u1", 2)
-    prompt = take("u1", n_prompt).astype(np.int64)
-    tokens = take("u1", take("u1")[0]).astype(np.int64)
-    targets = take("u1", take("u1")[0]).astype(np.int64)
-    noise = take("<u2", take("<u2")[0]).astype(np.int64)
-    samples = take("<f4", take("<u4")[0]).copy()
-    if off != len(body):
-        raise DataFormatError(f"record {index}: {len(body) - off} stray bytes")
-    return Record(index=index, task_id=int(task_id), prompt_ids=prompt,
+def _unpack_record(r: Reader, index: int) -> Record:
+    task_id, n_prompt = r.unpack("<BB")
+    prompt = r.array("u1", n_prompt).astype(np.int64)
+    tokens = r.array("u1", *r.unpack("<B")).astype(np.int64)
+    targets = r.array("u1", *r.unpack("<B")).astype(np.int64)
+    noise = r.array("<u2", *r.unpack("<H")).astype(np.int64)
+    samples = r.array("<f4", *r.unpack("<I")).copy()
+    r.done()
+    return Record(index=index, task_id=task_id, prompt_ids=prompt,
                   tokens=tokens, targets=targets, noise_positions=noise,
                   samples=samples)
+
+
+def _unproducible(r: Record, cfg: Config) -> str:
+    """Why gen_record could not have produced r under cfg, or ''."""
+    n_tok, noise = len(r.tokens), r.noise_positions
+    frames = cfg.record_frames(n_tok)
+    if r.task_id not in TASKS or r.prompt_ids.tolist() != list(TASKS[r.task_id][1]):
+        return f"task {r.task_id} with prompt {r.prompt_ids.tolist()} is not a task"
+    if not cfg.min_tokens <= n_tok <= cfg.max_tokens or r.tokens.max() >= cfg.vocab_symbols:
+        return (f"tokens {r.tokens.tolist()} are not {cfg.min_tokens}.."
+                f"{cfg.max_tokens} ids below vocab_symbols {cfg.vocab_symbols}")
+    if not np.array_equal(r.targets, make_targets(r.tokens, r.task_id, cfg.eos_id)):
+        return "targets are not the task's output for the tokens"
+    if (noise.size != frames - n_tok * cfg.frames_per_token
+            or np.any(np.diff(noise) <= 0) or np.any(noise >= frames)
+            or r.samples.size != frames * cfg.samples_per_frame):
+        return f"noise positions or sample count do not fit {frames} frames"
+    if not np.isfinite(r.samples).all():
+        return "non-finite samples"
+    return ""
 
 
 def write_jsonl(path, records: list):

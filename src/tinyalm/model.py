@@ -85,7 +85,7 @@ class Model:
         at the same positions in every batch and during greedy decoding.
         """
         cfg = self.cfg
-        max_samples = cfg.max_frames * cfg.samples_per_frame
+        max_samples = cfg.record_frames(cfg.max_tokens) * cfg.samples_per_frame
         t_max = max(e.out_length(max_samples) for e in self.encoders.encoders)
         return self.qformer.n_windows(t_max) * cfg.n_queries
 

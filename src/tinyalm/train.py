@@ -89,10 +89,19 @@ def _score_window_stats(model: Model, record, s_row: np.ndarray, acc: dict):
             acc[lab].append(float(s_row[w * cfg.n_queries + q]))
 
 
+def eval_batches(model: Model, records: list):
+    """Yield (batch, ForwardOut) over consecutive batch_size slices, each
+    with its own fixed rng. A one-record batch has no in-batch negative, so
+    it runs without SACLM."""
+    for lo in range(0, len(records), model.cfg.batch_size):
+        batch = records[lo:lo + model.cfg.batch_size]
+        yield batch, model.forward_batch(batch, seeded_rng(9, lo),
+                                         compute_saclm=len(batch) >= 2)
+
+
 def evaluate(model: Model, records: list) -> dict:
     """Token accuracy, exact match, mean losses, per-task routing means,
     and the signed signal-minus-noise score gap."""
-    cfg = model.cfg
     n = len(records)
     tok_hits = tok_total = 0
     exact = 0
@@ -103,11 +112,7 @@ def evaluate(model: Model, records: list) -> dict:
     fallbacks = 0
     empty_windows = 0
 
-    for lo in range(0, n, cfg.batch_size):
-        batch = records[lo:lo + cfg.batch_size]
-        rng = seeded_rng(9, lo)
-        want_sac = len(batch) >= 2
-        out = model.forward_batch(batch, rng, compute_saclm=want_sac)
+    for batch, out in eval_batches(model, records):
         pred = np.argmax(out.logits.data, axis=-1)
         mask = out.seq.loss_mask > 0
         tok_hits += int((pred[mask] == out.seq.labels[mask]).sum())

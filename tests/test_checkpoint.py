@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from tinyalm.checkpoint import (CheckpointError, _write_tensor,
+from tinyalm.checkpoint import (CheckpointError, _read_tensors, _write_tensor,
                                 load_checkpoint, peek_checkpoint,
                                 save_checkpoint)
 from tinyalm.config import Config, dump_config, fingerprint
@@ -102,6 +102,35 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path, Model(Config()).store)
 
 
+@pytest.mark.parametrize("where", ["fingerprint", "config_text", "tensor_name"])
+def test_non_utf8_text_rejected(tmp_path, where):
+    cfg, model, opt, recs, path = make(tmp_path)
+    text = dump_config(cfg)
+    save_checkpoint(path, model.store, opt, 0, text)
+    raw = bytearray(path.read_bytes())
+    # magic, u32 version, 64-byte fingerprint, u32 length + config text,
+    # u64 step, u32 tensor count, then the first tensor's u16 name length
+    at = {"fingerprint": 8, "config_text": 8 + 64 + 4 + 10,
+          "tensor_name": 8 + 64 + 4 + len(text) + 8 + 4 + 2}[where]
+    raw[at] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path, Model(cfg).store)
+
+
+def test_overflowing_tensor_shape_rejected(tmp_path):
+    cfg, model, opt, recs, path = make(tmp_path)
+    text = dump_config(cfg)
+    save_checkpoint(path, model.store, opt, 0, text)
+    header = path.read_bytes()[:8 + 64 + 4 + len(text) + 8]
+    name = next(iter(model.store.items()))[0].encode()
+    # 2**31 * 2**31 * 4 elements wraps to 0 in int64
+    path.write_bytes(header + struct.pack("<IH", 1, len(name)) + name
+                     + struct.pack("<B3I", 3, 2 ** 31, 2 ** 31, 4))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path, Model(cfg).store)
+
+
 def test_shape_mismatch_rejected(tmp_path):
     cfg, model, opt, recs, path = make(tmp_path)
     save_checkpoint(path, model.store, opt, 0, dump_config(cfg))
@@ -127,9 +156,8 @@ def test_bad_moments_rejected_atomically(tmp_path, fault):
     cfg, model, opt, recs, path = make(tmp_path, steps=2)
     save_checkpoint(path, model.store, opt, 2, dump_config(cfg))
     r = peek_checkpoint(path)["_reader"]
-    (n_tensors,) = r.unpack("<I")
-    for _ in range(n_tensors):
-        r.tensor()
+    _read_tensors(r, *r.unpack("<I"), "tensor",
+                  {n: t.data.shape for n, t in model.store.items()})
     names = [n for n, _ in model.store.trainable_items()]
     vector = next(n for n in names if opt.m[n].ndim == 1 and opt.m[n].size > 1)
     pairs = [(n, opt.m[n], opt.v[n]) for n in names]

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from tinyalm.checkpoint import load_checkpoint
 from tinyalm.cli import main
+from tinyalm.config import load_config
 from tinyalm.data import file_digest, load_dataset
+from tinyalm.model import Model
+from tinyalm.train import evaluate
 
 SMALL = "total_steps = 12\nbatch_size = 4\nlr = 0.001\n"
 
@@ -25,7 +29,7 @@ def test_gen_data_deterministic(workdir, tmp_path):
                  "--seed", "0", "--out", str(again)]) == 0
     assert file_digest(str(data)) == file_digest(str(again))
     assert (tmp_path / "again.bin.jsonl").exists()
-    recs, _ = load_dataset(str(data))
+    recs = load_dataset(str(data), load_config(str(cfg)))
     assert len(recs) == 8
 
 
@@ -52,6 +56,29 @@ def test_train_then_eval_and_routing(workdir, capsys):
     assert rc == 0
     assert "copy" in captured and "reverse" in captured
     assert "L1 distance" in captured
+
+
+def test_inspect_routing_uses_evaluates_batches(tmp_path, capsys):
+    # 3 records in batches of 2: the last batch has one record and no SACLM
+    spec = tmp_path / "cfg.txt"
+    spec.write_text(SMALL.replace("batch_size = 4", "batch_size = 2"))
+    data, run = tmp_path / "d.bin", tmp_path / "run"
+    assert main(["gen-data", "--spec", str(spec), "--n", "3",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--config", str(spec), "--data", str(data),
+                 "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["inspect-routing", "--ckpt", str(run / "final.ckpt"),
+                 "--data", str(data)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    cfg = load_config(str(spec))
+    model = Model(cfg)
+    load_checkpoint(run / "final.ckpt", model.store)
+    metrics = evaluate(model, load_dataset(str(data), cfg))
+    for task, name in ((0, "copy"), (1, "reverse")):
+        row = next(line for line in lines if line.startswith(name)).split()
+        assert row[1:] == [f"{w:.4f}" for w in metrics[f"routing_task{task}"]]
 
 
 def test_train_resume_matches_straight_run(workdir, capsys):

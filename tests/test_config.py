@@ -72,6 +72,20 @@ def test_validate_rejects_out_of_range():
         Config(dtype="f16").validate()
 
 
+@pytest.mark.parametrize("over, match", [
+    (dict(lm_heads=0), "lm_heads"),
+    (dict(frames_per_token=0), "frames_per_token"),
+    (dict(samples_per_frame=0), "samples_per_frame"),
+    (dict(batch_size=0), "batch_size"),
+    (dict(prompt_vocab=2), "prompt_vocab"),
+    # 1 token of 1 frame is 16 samples, narrower than the 64-sample window
+    (dict(min_tokens=1, frames_per_token=1), "encoder window"),
+])
+def test_validate_rejects_range_gaps(over, match):
+    with pytest.raises(ConfigError, match=match):
+        Config(**over).validate()
+
+
 def test_validate_rejects_token_ids_beyond_u8():
     # ids run to vocab_symbols + 2 (PAD) and the dataset stores them as u8
     Config(vocab_symbols=253).validate()

@@ -85,9 +85,10 @@ def test_roundtrip_and_golden_digest(tmp_path):
     assert file_digest(p1) == file_digest(p2)
     assert file_digest(p1) == GOLDEN_DIGEST_N128_SEED0
 
-    back, spec = load_dataset(p1)
+    back = load_dataset(p1, cfg)
     assert len(back) == 128
-    assert "vocab=32" in spec
+    with pytest.raises(DataFormatError, match="does not match"):
+        load_dataset(p1, Config(noise_ratio=0.5))
     for r, b in zip(recs, back):
         np.testing.assert_array_equal(r.samples, b.samples)
         np.testing.assert_array_equal(r.tokens, b.tokens)
@@ -101,7 +102,7 @@ def test_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(DataFormatError, match="magic"):
-        load_dataset(p)
+        load_dataset(p, Config())
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -111,7 +112,7 @@ def test_truncated_file_rejected(tmp_path):
     whole = p.read_bytes()
     p.write_bytes(whole[:len(whole) - 7])
     with pytest.raises(DataFormatError):
-        load_dataset(p)
+        load_dataset(p, cfg)
 
 
 @pytest.mark.parametrize("field", ["prompt", "tokens"])
@@ -127,7 +128,25 @@ def test_inflated_inner_count_rejected(tmp_path, field):
     raw[at] = 200
     p.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="record 0"):
-        load_dataset(p)
+        load_dataset(p, cfg)
+
+
+@pytest.mark.parametrize("field", ["task", "prompt", "token"])
+def test_record_the_spec_cannot_produce_rejected(tmp_path, field):
+    cfg = Config()
+    p = tmp_path / "d.bin"
+    save_dataset(p, gen_dataset(cfg, 0, 2), cfg)
+    raw = bytearray(p.read_bytes())
+    spec_len = int.from_bytes(raw[8:10], "little")
+    body = 10 + spec_len + 4 + 4   # header, record count, first length prefix
+    # task id 2, prompt id 9, or a token that no longer matches the targets
+    at = {"task": body, "prompt": body + 2,
+          "token": body + 2 + raw[body + 1] + 1}[field]
+    raw[at] = {"task": 2, "prompt": 9,
+               "token": (raw[at] + 1) % cfg.vocab_symbols}[field]
+    p.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="record 0"):
+        load_dataset(p, cfg)
 
 
 def test_jsonl_twin(tmp_path):
