@@ -401,11 +401,21 @@ def matmul(a, b):
     na, nb = _tracked(a), _tracked(b)
 
     def backward(g):
+        # A rank-2 operand is shared by every batch entry of the other: its
+        # gradient contracts the batch axes in one GEMM, with no per-entry
+        # stack to sum away.
         ga = gb = None
         if na:
-            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+            if a.ndim == 2 and b.ndim > 2:
+                batch_and_n = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
+                ga = np.tensordot(g, b.data, axes=(batch_and_n, batch_and_n))
+            else:
+                ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
         if nb:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+            if b.ndim == 2 and a.ndim > 2:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
         return ga, gb
 
     _maybe_record("matmul", (a, b), out, backward)

@@ -33,8 +33,9 @@ def _write_tensor(f, name: str, arr: np.ndarray):
 
 
 def _read_tensors(r: Reader, count: int, what: str, shapes: dict) -> dict:
-    """Read count tensors whose names and shapes must be exactly `shapes`;
-    each value is a read-only view of the file's bytes."""
+    """Read count tensors whose names and shapes must be exactly `shapes`
+    and whose values must be finite; each value is a read-only view of the
+    file's bytes."""
     got = {}
     for _ in range(count):
         name = r.text(*r.unpack("<H"))
@@ -45,6 +46,8 @@ def _read_tensors(r: Reader, count: int, what: str, shapes: dict) -> dict:
         if shape != shapes[name]:
             r.fail(f"{what} shape mismatch for {name}: {shape} vs {shapes[name]}")
         got[name] = r.array("<f4", math.prod(shape)).reshape(shape)
+        if not np.isfinite(got[name]).all():
+            r.fail(f"non-finite value in {what} {name}")
     missing = shapes.keys() - got.keys()
     if missing:
         r.fail(f"missing {what}s {sorted(missing)[:4]}")
@@ -103,6 +106,13 @@ def load_checkpoint(path, store, opt=None, config_text: str = None,
                 f"{path}: config fingerprint mismatch (checkpoint "
                 f"{head['fingerprint'][:12]}.., current {want[:12]}..); "
                 f"pass force to override")
+    return apply_checkpoint(head, store, opt)
+
+
+def apply_checkpoint(head: dict, store, opt=None) -> int:
+    """Restore the tensors that follow a `peek_checkpoint` header into store
+    (and the moments into opt), all or nothing; returns the step. It reads
+    on from the header's reader, so each header serves one call."""
     r = head["_reader"]
     named = dict(store.items())
     staged = _read_tensors(r, *r.unpack("<I"), "tensor",

@@ -86,6 +86,11 @@ def _op_cases(rng):
         lambda p: ad.sum_(ad.mul(ad.attention(p["q"], p["k"], p["v"], allowed), p["c"])), \
         {"q": _t(rng, 2, 3, 4), "k": _t(rng, 2, 5, 4), "v": _t(rng, 2, 5, 3),
          "c": _t(rng, 2, 3, 3)}
+    # a rank-2 operand shared across a batch: its gradient contracts the batch
+    yield "matmul_shared_b", lambda p: ad.sum_(ad.mul(ad.matmul(p["a"], p["b"]), p["c"])), \
+        {"a": _t(rng, 2, 3, 4), "b": _t(rng, 4, 2), "c": _t(rng, 2, 3, 2)}
+    yield "matmul_shared_a", lambda p: ad.sum_(ad.mul(ad.matmul(p["a"], p["b"]), p["c"])), \
+        {"a": _t(rng, 3, 4), "b": _t(rng, 2, 4, 5), "c": _t(rng, 2, 3, 5)}
 
 
 def _ste_analytic_check() -> dict:

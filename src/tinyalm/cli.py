@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, peek_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, apply_checkpoint, load_checkpoint,
+                         peek_checkpoint, save_checkpoint)
 from .checks import format_report, run_model_suite, run_op_suite
 from .config import (TASKS, Config, ConfigError, dump_config, load_config,
                      parse_config, save_config)
@@ -80,10 +81,11 @@ def _cmd_train(args) -> int:
 
 
 def _restore(ckpt_path):
+    # the checkpoint carries its own config: read and hash the file once
     head = peek_checkpoint(ckpt_path)
     cfg = parse_config(head["config_text"])
     model = Model(cfg)
-    load_checkpoint(ckpt_path, model.store, config_text=head["config_text"])
+    apply_checkpoint(head, model.store)
     return cfg, model, head["step"]
 
 

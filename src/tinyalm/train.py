@@ -36,6 +36,11 @@ def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
             raise TrainAbort(f"non-finite loss at step {step}; first bad "
                              f"tensor came from op {culprit!r}")
         tape.backward(out.loss)
+    for name, p in model.store.trainable_items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainAbort(f"non-finite gradient for {name} at step {step}; "
+                             f"first op with a non-finite output: "
+                             f"{tape.first_nonfinite()!r}")
     lr = lr_at(step, cfg.total_steps, cfg.lr, cfg.warmup_ratio)
     opt.step(lr)
     row = {"step": step, "lr": lr, "L": float(out.loss.data),

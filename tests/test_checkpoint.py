@@ -191,6 +191,27 @@ def test_bad_moments_rejected_atomically(tmp_path, fault):
     assert all(np.all(o2.m[n] == 0.5) and np.all(o2.v[n] == 0.25) for n in o2.m)
 
 
+@pytest.mark.parametrize("where", ["parameter", "moment"])
+def test_non_finite_tensor_rejected_atomically(tmp_path, where):
+    cfg, model, opt, recs, path = make(tmp_path, steps=2)
+    if where == "parameter":   # a frozen encoder weight
+        msg, bad = "tensor encoders.enc1.proj", model.store["encoders.enc1.proj"].data
+    else:
+        msg, bad = "moment inproj.weight.v", opt.v["inproj.weight"]
+    bad[0, 0] = np.inf if where == "parameter" else np.nan
+    save_checkpoint(path, model.store, opt, 2, dump_config(cfg))
+
+    fresh = Model(cfg)
+    o2 = AdamW(fresh.store, cfg)
+    before = {n: t.data.copy() for n, t in fresh.store.items()}
+    with pytest.raises(CheckpointError, match=f"non-finite value in {msg}$"):
+        load_checkpoint(path, fresh.store, o2)
+    for n, t in fresh.store.items():
+        assert np.array_equal(t.data, before[n]), n
+    assert o2.step_count == 0
+    assert all(not o2.m[n].any() and not o2.v[n].any() for n in o2.m)
+
+
 def test_f64_store_refused(tmp_path):
     cfg = Config(dtype="float64")
     model = Model(cfg)

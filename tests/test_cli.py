@@ -4,7 +4,7 @@ import pytest
 from tinyalm.checkpoint import load_checkpoint
 from tinyalm.cli import main
 from tinyalm.config import load_config
-from tinyalm.data import file_digest, load_dataset
+from tinyalm.data import Reader, file_digest, load_dataset
 from tinyalm.model import Model
 from tinyalm.train import evaluate
 
@@ -56,6 +56,26 @@ def test_train_then_eval_and_routing(workdir, capsys):
     assert rc == 0
     assert "copy" in captured and "reverse" in captured
     assert "L1 distance" in captured
+
+
+def test_restore_reads_the_checkpoint_once(workdir, monkeypatch):
+    root, cfg, data = workdir
+    out = root / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out-dir", str(out)]) == 0
+    ckpt = str(out / "final.ckpt")
+    opened = []
+    real_open = Reader.open.__func__
+
+    def counting_open(cls, path, *args):
+        opened.append(str(path))
+        return real_open(cls, path, *args)
+
+    monkeypatch.setattr(Reader, "open", classmethod(counting_open))
+    for cmd in ("eval", "inspect-routing"):
+        opened.clear()
+        assert main([cmd, "--ckpt", ckpt, "--data", str(data)]) == 0
+        assert opened.count(ckpt) == 1, (cmd, opened)
 
 
 def test_inspect_routing_uses_evaluates_batches(tmp_path, capsys):

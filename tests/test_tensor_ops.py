@@ -63,6 +63,26 @@ def test_matmul_batched_broadcast_gradients():
     fd_assert(lambda: sc(ad.matmul(a, b)), {"a": a, "b": b})
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((320, 1, 128), (128, 128)),   # per-window frames @ a shared weight
+    ((1, 128), (320, 128, 1)),     # the shared cross query @ per-window keys^T
+])
+def test_matmul_shared_operand_gradient_matches_summed_batch(a_shape, b_shape):
+    # d128 / one-frame-window Q-Former sizes: 8 records x 40 windows
+    rng = np.random.default_rng(7)
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    g = rng.standard_normal(np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+                            + (a_shape[-2], b_shape[-1]))
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.mul(ad.matmul(a, b), Tensor(g))))
+    # reference: the per-entry gradient stack, summed over the batch
+    ga = ad._unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a_shape)
+    gb = ad._unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b_shape)
+    np.testing.assert_allclose(a.grad, ga, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.grad, gb, rtol=1e-12, atol=1e-12)
+
+
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as err:
         ad.matmul(rand_t(3, 4), rand_t(3, 2))

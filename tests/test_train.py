@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tinyalm.autodiff import Tape
 from tinyalm.config import Config
 from tinyalm.data import gen_dataset
 from tinyalm.model import Model
@@ -74,6 +75,30 @@ def test_nonfinite_loss_aborts_with_diagnostic():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainAbort, match="non-finite"):
             train_step(model, opt, recs[:4], 0)
+
+
+def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
+    _, model, recs, opt = setup(total_steps=2, batch_size=4)
+    real_record = Tape._record
+
+    def poison_relu(self, op, inputs, out, backward):
+        # the loss stays finite; only the gradient through relu turns NaN
+        if op == "relu":
+            real_backward = backward
+
+            def backward(g):
+                return tuple(None if x is None else np.full_like(x, np.nan)
+                             for x in real_backward(g))
+        real_record(self, op, inputs, out, backward)
+
+    monkeypatch.setattr(Tape, "_record", poison_relu)
+    params = {n: t.data.copy() for n, t in model.store.items()}
+    with pytest.raises(TrainAbort, match="non-finite gradient for "
+                                         r"\S+ at step 0; .* output: None"):
+        train_step(model, opt, recs[:4], 0)
+    assert opt.step_count == 0
+    assert all(np.array_equal(t.data, params[n]) for n, t in model.store.items())
+    assert all(not opt.m[n].any() and not opt.v[n].any() for n in opt.m)
 
 
 def test_disable_saclm_trains_on_pure_ce():
