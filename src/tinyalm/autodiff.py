@@ -22,7 +22,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input outside an op's mathematical domain (e.g. log of x <= 0)."""
+    """Input outside an op's mathematical domain (e.g. sqrt of x < 0)."""
 
 
 _TAPE: "Tape | None" = None
@@ -291,34 +291,6 @@ def sigmoid(a):
         return (g * s * (1.0 - s) if na else None,)
 
     _maybe_record("sigmoid", (a,), out, backward)
-    return out
-
-
-def exp(a):
-    a = _as_tensor(a)
-    e = np.exp(a.data)
-    out = Tensor(e)
-    na = _tracked(a)
-
-    def backward(g):
-        return (g * e if na else None,)
-
-    _maybe_record("exp", (a,), out, backward)
-    return out
-
-
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log requires strictly positive input, got min "
-                          f"{a.data.min()}")
-    out = Tensor(np.log(a.data))
-    na = _tracked(a)
-
-    def backward(g):
-        return (g / a.data if na else None,)
-
-    _maybe_record("log", (a,), out, backward)
     return out
 
 

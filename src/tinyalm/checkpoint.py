@@ -15,7 +15,7 @@ from .config import fingerprint
 from .data import Reader
 
 MAGIC = b"TCKP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: TAPM experts stored as one stacked bank
 
 
 class CheckpointError(ValueError):

@@ -22,6 +22,10 @@ from .params import seeded_rng
 MAGIC = b"TALM"
 FORMAT_VERSION = 1
 
+# Noise frames are NumPy standard normals, whose ziggurat sampler on 53-bit
+# uniforms never returns |x| > r + sqrt(106 ln 2) ~= 3.65 + 8.57 = 12.2.
+NOISE_BOUND = 16.0
+
 
 class DataFormatError(ValueError):
     pass
@@ -201,12 +205,12 @@ def load_dataset(path, cfg: Config) -> list:
     if spec != want:
         r.fail(f"dataset spec does not match the config\n"
                f"  data:   {spec}\n  config: {want}")
-    records = []
+    records, motifs = [], motif_table(cfg)
     for i in range(*r.unpack("<I")):
         body = Reader(r.take(*r.unpack("<I")), f"{path}: record {i}",
                       DataFormatError)
         rec = _unpack_record(body, i)
-        why = _unproducible(rec, cfg)
+        why = _unproducible(rec, cfg, motifs)
         if why:
             body.fail(why)
         records.append(rec)
@@ -227,7 +231,7 @@ def _unpack_record(r: Reader, index: int) -> Record:
                   samples=samples)
 
 
-def _unproducible(r: Record, cfg: Config) -> str:
+def _unproducible(r: Record, cfg: Config, motifs: np.ndarray) -> str:
     """Why gen_record could not have produced r under cfg, or ''."""
     n_tok, noise = len(r.tokens), r.noise_positions
     frames = cfg.record_frames(n_tok)
@@ -242,8 +246,13 @@ def _unproducible(r: Record, cfg: Config) -> str:
             or np.any(np.diff(noise) <= 0) or np.any(noise >= frames)
             or r.samples.size != frames * cfg.samples_per_frame):
         return f"noise positions or sample count do not fit {frames} frames"
-    if not np.isfinite(r.samples).all():
-        return "non-finite samples"
+    by_frame = r.samples.reshape(frames, cfg.samples_per_frame)
+    is_noise = np.isin(np.arange(frames), noise)
+    signal = motifs[r.tokens].reshape(-1, cfg.samples_per_frame)
+    if not np.array_equal(by_frame[~is_noise], signal):
+        return "signal frames are not the tokens' motifs"
+    if not np.all(np.abs(by_frame[is_noise]) < NOISE_BOUND):
+        return f"noise samples reach {NOISE_BOUND} or are not finite"
     return ""
 
 

@@ -1,7 +1,7 @@
 """AdamW with decoupled weight decay and the linear warmup/decay schedule.
 
-Decay is skipped for bias-like vectors (rank-1 tensors) and the query bank
-when the config flag says so; everything else decays toward zero at wd*lr
+Decay is skipped for biases, layer-norm gains and the query bank when the
+config flag says so; everything else decays toward zero at wd*lr
 per step, applied outside the moment estimates.
 """
 
@@ -11,6 +11,10 @@ import numpy as np
 
 from .config import Config
 from .params import ParamStore
+
+# leaf names of biases and layer-norm gains; by name, not rank, because the
+# stacked expert biases are [E, 1, n] (and LoRA's "b" is a matrix)
+_EXEMPT_LEAVES = ("bias", "gain", "b1", "b2")
 
 
 def lr_at(step: int, total: int, peak: float, warm_ratio: float) -> float:
@@ -27,6 +31,11 @@ def lr_at(step: int, total: int, peak: float, warm_ratio: float) -> float:
 
 
 class AdamW:
+    """With `decay_exempt_bias_and_query`, a trainable skips weight decay iff
+    its leaf name (after the last ".") is one of `_EXEMPT_LEAVES` or it is
+    `qformer.query`. A module that adds a bias or gain must name it so;
+    any other name decays, whatever its rank."""
+
     def __init__(self, store: ParamStore, cfg: Config):
         self.store = store
         self.cfg = cfg
@@ -38,7 +47,8 @@ class AdamW:
             self.m[name] = np.zeros_like(t.data)
             self.v[name] = np.zeros_like(t.data)
             if cfg.decay_exempt_bias_and_query and (
-                    t.data.ndim <= 1 or name == "qformer.query"):
+                    name.rsplit(".", 1)[-1] in _EXEMPT_LEAVES
+                    or name == "qformer.query"):
                 self.exempt.add(name)
 
     def step(self, lr: float):

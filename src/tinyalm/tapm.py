@@ -1,6 +1,6 @@
 """Task-aware projection: a router turns the prompt embedding into softmax
-weights over three expert MLPs, and the projected features are the dense
-weighted combination of all expert outputs, applied per frame."""
+weights over a stacked bank of expert MLPs, and the projected features are
+the dense weighted combination of all expert outputs, applied per frame."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, embedding_lookup, linear, matmul, mean,
-                       mul, relu, reshape, slice_, softmax)
+from .autodiff import (Tensor, add, embedding_lookup, matmul, mean, mul, relu,
+                       reshape, softmax, sum_, transpose)
 from .config import Config
 from .params import ParamStore, seeded_rng
 
@@ -23,8 +23,7 @@ class ProjectedFeatures:
 class Tapm:
     def __init__(self, cfg: Config, store: ParamStore):
         self.cfg = cfg
-        d, dt = cfg.d_model, cfg.np_dtype
-        hid = cfg.expert_hidden
+        d, dt, E, hid = cfg.d_model, cfg.np_dtype, cfg.n_experts, cfg.expert_hidden
         rng = seeded_rng(cfg.model_seed, 300)
 
         def reg(name, arr):
@@ -38,13 +37,14 @@ class Tapm:
                                 rng.standard_normal((cfg.prompt_vocab, cfg.d_text)) * 0.02)
         self.router = reg("router",
                           rng.standard_normal((cfg.d_text, cfg.n_experts)) * 0.02)
-        self.experts = []
-        for i in range(cfg.n_experts):
-            w1 = reg(f"expert{i}.w1", rng.standard_normal((d, hid)) / np.sqrt(d))
-            b1 = reg(f"expert{i}.b1", np.zeros(hid))
-            w2 = reg(f"expert{i}.w2", rng.standard_normal((hid, d)) / np.sqrt(hid))
-            b2 = reg(f"expert{i}.b2", np.zeros(d))
-            self.experts.append((w1, b1, w2, b2))
+        # drawn expert by expert, w1 then w2: this order fixes the initial weights
+        w1, w2 = zip(*((rng.standard_normal((d, hid)) / np.sqrt(d),
+                        rng.standard_normal((hid, d)) / np.sqrt(hid))
+                       for _ in range(E)))
+        self.w1 = reg("experts.w1", np.stack(w1))         # [E, d, h]
+        self.b1 = reg("experts.b1", np.zeros((E, 1, hid)))
+        self.w2 = reg("experts.w2", np.stack(w2))         # [E, h, d]
+        self.b2 = reg("experts.b2", np.zeros((E, 1, d)))
 
     def e_text(self, task_ids: np.ndarray, prompt_ids: np.ndarray) -> Tensor:
         """Prompt embedding: per-task vector plus mean of prompt token vectors."""
@@ -55,19 +55,14 @@ class Tapm:
     def route(self, e_text: Tensor) -> Tensor:
         return softmax(matmul(e_text, self.router), axis=-1)
 
-    def expert_apply(self, i: int, z: Tensor) -> Tensor:
-        w1, b1, w2, b2 = self.experts[i]
-        return linear(relu(linear(z, w1, b1)), w2, b2)
-
     def project(self, z: Tensor, w: Tensor) -> Tensor:
         """Dense combination: every expert runs, outputs weighted by w."""
-        batch = z.shape[0]
-        out = None
-        for i in range(self.cfg.n_experts):
-            wi = reshape(slice_(w, (slice(None), slice(i, i + 1))), (batch, 1, 1))
-            term = mul(self.expert_apply(i, z), wi)
-            out = term if out is None else add(out, term)
-        return out
+        (B, L, d), E = z.shape, w.shape[-1]
+        x = reshape(z, (B * L, d))
+        hidden = relu(add(matmul(x, self.w1), self.b1))  # [E, B·L, h]
+        out = reshape(add(matmul(hidden, self.w2), self.b2), (E, B, L, d))
+        weights = reshape(transpose(w), (E, B, 1, 1))
+        return sum_(mul(out, weights), axis=0)
 
     def forward(self, z: Tensor, task_ids, prompt_ids) -> ProjectedFeatures:
         w = self.route(self.e_text(task_ids, prompt_ids))

@@ -43,6 +43,18 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p2.read_bytes() == first
 
 
+def test_version_1_file_rejected(tmp_path):
+    # version 1 stored twelve per-expert TAPM tensors; version 2 stores the
+    # stacked bank, so an old file fails on its header, not on a name
+    cfg, model, opt, recs, path = make(tmp_path)
+    save_checkpoint(path, model.store, opt, 0, dump_config(cfg))
+    raw = path.read_bytes()
+    assert raw[4:8] == struct.pack("<I", 2)
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(CheckpointError, match="unsupported format version 1"):
+        load_checkpoint(path, Model(cfg).store)
+
+
 def test_load_restores_exact_values(tmp_path):
     cfg, model, opt, recs, path = make(tmp_path, steps=3)
     text = dump_config(cfg)

@@ -151,6 +151,18 @@ def test_missing_checkpoint_is_usage_error(workdir, capsys):
     assert rc == 2
 
 
+def test_version_1_checkpoint_is_usage_error(workdir, capsys):
+    root, cfg, data = workdir
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out-dir", str(root / "run")]) == 0
+    ckpt = root / "run" / "final.ckpt"
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+    assert rc == 2
+    assert "unsupported format version 1" in capsys.readouterr().err
+
+
 def test_corrupt_dataset_is_usage_error(workdir, capsys):
     root, cfg, data = workdir
     data.write_bytes(b"XXXX" + data.read_bytes()[4:])

@@ -131,19 +131,34 @@ def test_inflated_inner_count_rejected(tmp_path, field):
         load_dataset(p, cfg)
 
 
-@pytest.mark.parametrize("field", ["task", "prompt", "token"])
+@pytest.mark.parametrize("field", ["task", "prompt", "token", "signal", "noise"])
 def test_record_the_spec_cannot_produce_rejected(tmp_path, field):
     cfg = Config()
     p = tmp_path / "d.bin"
-    save_dataset(p, gen_dataset(cfg, 0, 2), cfg)
+    recs = gen_dataset(cfg, 0, 2)
+    save_dataset(p, recs, cfg)
     raw = bytearray(p.read_bytes())
     spec_len = int.from_bytes(raw[8:10], "little")
     body = 10 + spec_len + 4 + 4   # header, record count, first length prefix
-    # task id 2, prompt id 9, or a token that no longer matches the targets
-    at = {"task": body, "prompt": body + 2,
-          "token": body + 2 + raw[body + 1] + 1}[field]
-    raw[at] = {"task": 2, "prompt": 9,
-               "token": (raw[at] + 1) % cfg.vocab_symbols}[field]
+    if field in ("task", "prompt", "token"):
+        # task id 2, prompt id 9, or a token that no longer matches the targets
+        at = {"task": body, "prompt": body + 2,
+              "token": body + 2 + raw[body + 1] + 1}[field]
+        raw[at] = {"task": 2, "prompt": 9,
+                   "token": (raw[at] + 1) % cfg.vocab_symbols}[field]
+    else:
+        # one sample of the first signal frame nudged by one ulp, or one
+        # sample of the first noise frame set to a finite 2.4e36
+        r = recs[0]
+        samples = body + 2 + len(r.prompt_ids) + 1 + len(r.tokens) + 1 \
+            + len(r.targets) + 2 + 2 * len(r.noise_positions) + 4
+        noise = set(r.noise_positions.tolist())
+        frames = set(range(r.samples.size // cfg.samples_per_frame))
+        frame = min(noise) if field == "noise" else min(frames - noise)
+        at = samples + 4 * frame * cfg.samples_per_frame
+        value = np.float32(2.4e36) if field == "noise" else \
+            np.nextafter(r.samples[frame * cfg.samples_per_frame], np.float32(np.inf))
+        raw[at:at + 4] = np.float32(value).tobytes()
     p.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="record 0"):
         load_dataset(p, cfg)

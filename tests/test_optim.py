@@ -3,6 +3,7 @@ import pytest
 
 from tinyalm.autodiff import Tensor
 from tinyalm.config import Config
+from tinyalm.model import Model
 from tinyalm.optim import AdamW, lr_at
 from tinyalm.params import ParamStore
 
@@ -66,10 +67,10 @@ def test_decay_exemption_for_bias_and_query():
     vec = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
     q = Tensor(np.ones((1, 2), dtype=np.float32), requires_grad=True)
     store.register("layer.w", mat, trainable=True)
-    store.register("layer.b", vec, trainable=True)
+    store.register("layer.bias", vec, trainable=True)
     store.register("qformer.query", q, trainable=True)
     opt = AdamW(store, cfg)
-    assert opt.exempt == {"layer.b", "qformer.query"}
+    assert opt.exempt == {"layer.bias", "qformer.query"}
 
     # zero gradient: only decay can move parameters
     for t in (mat, vec, q):
@@ -78,6 +79,18 @@ def test_decay_exemption_for_bias_and_query():
     assert np.all(mat.data < 1.0)
     np.testing.assert_array_equal(vec.data, np.ones(2, dtype=np.float32))
     np.testing.assert_array_equal(q.data, np.ones((1, 2), dtype=np.float32))
+
+
+def test_default_model_exempts_biases_gains_and_query():
+    # the same elements as when every bias had rank 1: the rank-1 tensors,
+    # the query bank and the two stacked [E, 1, n] expert biases
+    model = Model(Config())
+    opt = AdamW(model.store, model.cfg)
+    trainable = dict(model.store.trainable_items())
+    want = {n for n, t in trainable.items() if t.ndim <= 1}
+    want |= {"qformer.query", "tapm.experts.b1", "tapm.experts.b2"}
+    assert opt.exempt == want
+    assert sum(trainable[n].size for n in opt.exempt) == 1473
 
 
 def test_exemption_flag_off_decays_everything():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tinyalm.autodiff import Tape, Tensor, mul, sum_
 from tinyalm.config import Config
@@ -50,26 +51,34 @@ def test_simplex_for_random_inputs():
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
 
+EXPERT_TENSORS = ("w1", "b1", "w2", "b2")
+
+
 def test_one_hot_routing_reproduces_selected_expert():
     _, _, tp = make_tapm()
     rng = seeded_rng(4)
+    for t in (tp.b1, tp.b2):  # nonzero biases, so each slice's bias shows
+        t.data[...] = rng.standard_normal(t.shape)
     z = Tensor(rng.standard_normal((2, 5, 64)).astype(np.float32))
+    per_expert = []  # the loop reference: relu(z @ w1[k] + b1[k]) @ w2[k] + b2[k]
     for k in range(3):
+        hidden = np.maximum(z.data @ tp.w1.data[k] + tp.b1.data[k], 0.0)
+        per_expert.append(hidden @ tp.w2.data[k] + tp.b2.data[k])
         w = np.zeros((2, 3), dtype=np.float32)
         w[:, k] = 1.0
         got = tp.project(z, Tensor(w)).data
-        want = tp.expert_apply(k, z).data
-        np.testing.assert_allclose(got, want, atol=1e-6)
+        np.testing.assert_allclose(got, per_expert[k], rtol=1e-5, atol=1e-5)
+    # a dense mix is the weighted sum of the same per-expert outputs
+    w = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]], dtype=np.float32)
+    want = sum(w[:, k, None, None] * per_expert[k] for k in range(3))
+    np.testing.assert_allclose(tp.project(z, Tensor(w)).data, want, rtol=1e-5, atol=1e-5)
 
 
 def test_identical_experts_make_phi_independent_of_w():
     _, _, tp = make_tapm()
-    for name in ("w1", "b1", "w2", "b2"):
-        for i in (1, 2):
-            src = getattr(tp, "experts")[0]
-            dst = tp.experts[i]
-            for a, b in zip(src, dst):
-                b.data[...] = a.data
+    for name in EXPERT_TENSORS:
+        bank = getattr(tp, name).data
+        bank[1:] = bank[0]
     rng = seeded_rng(5)
     z = Tensor(rng.standard_normal((2, 4, 64)).astype(np.float32))
     wa = Tensor(np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]], dtype=np.float32))
@@ -87,7 +96,9 @@ def test_joint_permutation_invariance():
 
     perm = [2, 0, 1]
     tp.router.data[...] = tp.router.data[:, perm]
-    tp.experts = [tp.experts[i] for i in perm]
+    for name in EXPERT_TENSORS:
+        bank = getattr(tp, name).data
+        bank[...] = bank[perm]
     permuted = tp.forward(z, task, prompts).values.data
     np.testing.assert_allclose(permuted, base, atol=1e-6)
 
@@ -101,12 +112,26 @@ def test_gradient_reaches_every_expert():
         phi = tp.forward(z, task, prompts)
         loss = sum_(mul(phi.values, phi.values))
         tape.backward(loss)
-    for i in range(3):
-        for t in tp.experts[i]:
-            assert t.grad is not None and np.any(t.grad != 0.0)
+    for name in EXPERT_TENSORS:
+        grad = getattr(tp, name).grad
+        assert grad is not None
+        for i in range(3):
+            assert np.any(grad[i] != 0.0), (name, i)
     assert tp.router.grad is not None and np.any(tp.router.grad != 0.0)
     assert tp.task_embed.grad is not None
     assert tp.prompt_embed.grad is not None
+
+
+@pytest.mark.parametrize("n_experts", [2, 3, 4])
+def test_project_tape_size_independent_of_expert_count(n_experts):
+    _, _, tp = make_tapm(n_experts=n_experts)
+    rng = seeded_rng(14)
+    z = Tensor(rng.standard_normal((2, 3, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(np.full((2, n_experts), 1.0 / n_experts, dtype=np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        tp.project(z, w)
+    assert len(tape.nodes) == 11  # the same for every bank size
 
 
 def test_routing_differentiable_into_router_and_etext():
@@ -137,8 +162,11 @@ def test_full_tapm_gradient_fd():
 
 
 def test_parameters_named_and_trainable():
-    _, store, _ = make_tapm()
+    cfg, store, _ = make_tapm()
     names = [n for n, _ in store.trainable_items()]
     assert all(n.startswith("tapm.") for n in names)
     assert "tapm.router" in names
-    assert sum(1 for n in names if n.startswith("tapm.expert")) == 12
+    experts = [n for n in names if n.startswith("tapm.expert")]
+    assert experts == [f"tapm.experts.{k}" for k in EXPERT_TENSORS]
+    E, d, h = cfg.n_experts, cfg.d_model, cfg.expert_hidden
+    assert [store[n].shape for n in experts] == [(E, d, h), (E, 1, h), (E, h, d), (E, 1, d)]

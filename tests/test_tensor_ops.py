@@ -9,7 +9,9 @@ import pytest
 
 from tinyalm import autodiff as ad
 from tinyalm.autodiff import DomainError, ShapeError, Tape, Tensor
+from tinyalm.checks import OP_SEED, _op_cases
 from tinyalm.gradcheck import grad_check
+from tinyalm.params import seeded_rng
 
 RNG = np.random.default_rng(1234)
 
@@ -130,9 +132,9 @@ def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor(np.zeros(1))).data[0] == pytest.approx(0.5)
 
 
-def test_log_rejects_nonpositive():
+def test_sqrt_rejects_negative():
     with pytest.raises(DomainError):
-        ad.log(Tensor(np.array([1.0, 0.0])))
+        ad.sqrt(Tensor(np.array([1.0, -1e-12])))
 
 
 def test_concat_extent_mismatch():
@@ -140,46 +142,28 @@ def test_concat_extent_mismatch():
         ad.concat([rand_t(2, 3), rand_t(2, 4)], axis=0)
 
 
-@pytest.mark.parametrize("name,build,params", [
-    ("add", lambda p: ad.add(p["a"], p["b"]), lambda: {"a": rand_t(3, 4), "b": rand_t(3, 4)}),
-    ("add_broadcast", lambda p: ad.add(p["a"], p["b"]), lambda: {"a": rand_t(3, 4), "b": rand_t(4)}),
-    ("sub", lambda p: ad.sub(p["a"], p["b"]), lambda: {"a": rand_t(3, 4), "b": rand_t(3, 4)}),
-    ("mul", lambda p: ad.mul(p["a"], p["b"]), lambda: {"a": rand_t(3, 4), "b": rand_t(3, 4)}),
-    ("div", lambda p: ad.div(p["a"], p["b"]), lambda: {"a": rand_t(3, 4), "b": rand_t(3, 4, lo=0.5, hi=2.0)}),
-    ("scale", lambda p: ad.scale(p["a"], -1.7), lambda: {"a": rand_t(3, 4)}),
-    ("relu", lambda p: ad.relu(p["a"]), lambda: {"a": rand_t(3, 4, lo=0.1, hi=2.0)}),
-    ("relu_neg", lambda p: ad.relu(p["a"]), lambda: {"a": rand_t(3, 4, lo=-2.0, hi=-0.1)}),
-    ("sigmoid", lambda p: ad.sigmoid(p["a"]), lambda: {"a": rand_t(3, 4)}),
-    ("exp", lambda p: ad.exp(p["a"]), lambda: {"a": rand_t(3, 4)}),
-    ("log", lambda p: ad.log(p["a"]), lambda: {"a": rand_t(3, 4, lo=0.5, hi=2.0)}),
-    ("sqrt", lambda p: ad.sqrt(p["a"]), lambda: {"a": rand_t(3, 4, lo=0.5, hi=2.0)}),
-    ("sum_all", lambda p: ad.sum_(p["a"]), lambda: {"a": rand_t(3, 4)}),
-    ("sum_axis", lambda p: ad.sum_(p["a"], axis=1), lambda: {"a": rand_t(3, 4)}),
-    ("sum_keepdims", lambda p: ad.sum_(p["a"], axis=0, keepdims=True), lambda: {"a": rand_t(3, 4)}),
-    ("mean_all", lambda p: ad.mean(p["a"]), lambda: {"a": rand_t(3, 4)}),
-    ("mean_axis", lambda p: ad.mean(p["a"], axis=-1), lambda: {"a": rand_t(3, 4)}),
-    ("transpose", lambda p: ad.transpose(p["a"]), lambda: {"a": rand_t(3, 4)}),
-    ("transpose_axes", lambda p: ad.transpose(p["a"], (1, 0, 2)), lambda: {"a": rand_t(2, 3, 4)}),
-    ("reshape", lambda p: ad.reshape(p["a"], (4, 3)), lambda: {"a": rand_t(3, 4)}),
-    ("concat", lambda p: ad.concat([p["a"], p["b"]], axis=1), lambda: {"a": rand_t(3, 2), "b": rand_t(3, 4)}),
-    ("slice", lambda p: p["a"][1:3, ::2], lambda: {"a": rand_t(4, 6)}),
-])
-def test_primitive_gradients(name, build, params):
-    p, sc = params(), scalarize()
-    fd_assert(lambda: sc(build(p)), p)
+# every primitive's FD case, the same sweep as acceptance criterion 1; the ids
+# keep the name-<lambda>-<lambda> form, so each case's test id stays stable
+OP_CASES = list(_op_cases(seeded_rng(*OP_SEED)))
+
+
+@pytest.mark.parametrize("name,fn,params", OP_CASES,
+                         ids=[f"{name}-<lambda>-<lambda>" for name, _, _ in OP_CASES])
+def test_primitive_gradients(name, fn, params):
+    report = grad_check(lambda: fn(params), params, eps=1e-6, tol=1e-4)
+    assert report.passed, report.format_table()
 
 
 def test_embedding_lookup_gradient_scatter_adds():
-    table = rand_t(6, 4)
-    ids = np.array([1, 3, 1, 5])  # repeated row must accumulate
-    sc = scalarize()
-    fd_assert(lambda: sc(ad.embedding_lookup(table, ids)), {"t": table})
-
-
-def test_layer_norm_gradient():
-    x, g, b = rand_t(3, 8), rand_t(8, lo=0.5, hi=1.5), rand_t(8)
-    sc = scalarize()
-    fd_assert(lambda: sc(ad.layer_norm(x, g, b)), {"x": x, "g": g, "b": b})
+    # exact: a repeated id's row receives the sum of its upstream rows
+    table = Tensor(np.zeros((6, 4)), requires_grad=True)
+    ids = np.array([1, 3, 1, 5])
+    g = RNG.uniform(-1.0, 1.0, (4, 4))
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.mul(ad.embedding_lookup(table, ids), Tensor(g))))
+    want = np.zeros((6, 4))
+    want[1], want[3], want[5] = g[0] + g[2], g[1], g[3]
+    np.testing.assert_array_equal(table.grad, want)
 
 
 # ----------------------------------------------------------- cosine_distance
@@ -201,10 +185,18 @@ def test_cosine_distance_orthogonal():
 
 
 def test_cosine_distance_gradient():
-    a, b = rand_t(6), rand_t(6)
-    fd_assert(lambda: ad.cosine_distance(a, b), {"a": a, "b": b})
-    a, b, sc = rand_t(3, 6), rand_t(3, 6), scalarize()
-    fd_assert(lambda: sc(ad.cosine_distance(a, b)), {"a": a, "b": b})
+    # closed form: d(1 - cos)/da = -(b / (|a||b|) - cos * a / |a|^2); the FD
+    # cases cosine_distance and cosine_vector are in the sweep above
+    a, b = rand_t(3, 6), rand_t(3, 6)
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.cosine_distance(a, b)))
+    na = np.linalg.norm(a.data, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b.data, axis=-1, keepdims=True)
+    cos = (a.data * b.data).sum(-1, keepdims=True) / (na * nb)
+    np.testing.assert_allclose(a.grad, -(b.data / (na * nb) - cos * a.data / na**2),
+                               rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(b.grad, -(a.data / (na * nb) - cos * b.data / nb**2),
+                               rtol=1e-6, atol=1e-12)
 
 
 # ------------------------------------------------------------- ste_threshold
@@ -251,7 +243,7 @@ def test_random_primitive_sweep_in_range():
         lambda: ad.relu(ad.add(ad.mul(x, x), 0.3)),
         lambda: ad.sigmoid(ad.sub(x, 0.1)),
         lambda: ad.softmax(x, axis=0),
-        lambda: ad.exp(ad.scale(x, 0.5)),
+        lambda: ad.sigmoid(ad.scale(x, 2.5)),
     ]
     for make in makers:
         sc = scalarize()
