@@ -8,6 +8,7 @@ aborted training), 2 usage error (bad flags, malformed config/data/checkpoint).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 from .checkpoint import (CheckpointError, apply_checkpoint, load_checkpoint,
                          peek_checkpoint, save_checkpoint)
 from .checks import format_report, run_model_suite, run_op_suite
-from .config import (TASKS, Config, ConfigError, dump_config, load_config,
+from .config import (ABLATIONS, TASKS, ConfigError, dump_config, load_config,
                      parse_config, save_config)
 from .data import (DataFormatError, file_digest, gen_dataset, load_dataset,
                    save_dataset, write_jsonl)
@@ -39,23 +40,10 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _apply_ablation(cfg: Config, name: str) -> Config:
-    import dataclasses
-    table = {"tapm": {"disable_tapm": True},
-             "saclm": {"disable_saclm": True},
-             "enc1": {"zero_encoder": 1},
-             "enc2": {"zero_encoder": 2},
-             "enc3": {"zero_encoder": 3}}
-    if name not in table:
-        raise UsageError(f"unknown ablation {name!r}; "
-                         f"choose from {sorted(table)}")
-    return dataclasses.replace(cfg, **table[name])
-
-
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.ablate:
-        cfg = _apply_ablation(cfg, args.ablate)
+        cfg = dataclasses.replace(cfg, ablate=args.ablate)
     records = load_dataset(args.data, cfg)
     model = Model(cfg)
     opt = AdamW(model.store, cfg)
@@ -117,7 +105,7 @@ def _cmd_inspect_routing(args) -> int:
 
     cfg, model, step = _restore(args.ckpt)
     records = load_dataset(args.data, cfg)
-    if cfg.disable_tapm:
+    if cfg.ablate == "tapm":
         raise UsageError("checkpoint was trained with TAPM disabled; "
                          "there is no routing to inspect")
     routing = {t: [] for t in TASKS}
@@ -162,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--out-dir", required=True)
     t.add_argument("--resume", default=None, help="checkpoint to continue from")
-    t.add_argument("--ablate", default=None,
-                   choices=["tapm", "saclm", "enc1", "enc2", "enc3"])
+    t.add_argument("--ablate", default=None, choices=ABLATIONS,
+                   help="override the config's ablate key")
     t.set_defaults(fn=_cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -20,6 +20,10 @@ class ConfigError(ValueError):
 # task id -> (name, prompt token ids in the separate prompt vocabulary)
 TASKS = {0: ("copy", (0, 1)), 1: ("reverse", (2, 3))}
 
+# values of `ablate`: no ablation, bypass TAPM, drop the SACLM loss, or zero
+# one encoder's channel block
+ABLATIONS = ("none", "tapm", "saclm", "enc1", "enc2", "enc3")
+
 
 @dataclass
 class Config:
@@ -62,7 +66,6 @@ class Config:
     max_tokens: int = 8
     samples_per_frame: int = 16
     motif_seed: int = 7  # shared motif table across datasets of any seed
-    data_seed: int = 0
 
     # training
     lr: float = 5e-5
@@ -76,13 +79,9 @@ class Config:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    decay_exempt_bias_and_query: bool = True
     seed: int = 0
 
-    # ablation switches
-    disable_tapm: bool = False
-    disable_saclm: bool = False
-    zero_encoder: int = 0  # 0 = none, 1..3 = zero that encoder's block
+    ablate: str = "none"  # one of ABLATIONS
 
     # derived token ids (32 content symbols, then the three specials)
     @property
@@ -112,6 +111,21 @@ class Config:
         return n_signal + self.noise_frames(n_signal)
 
     @property
+    def encoder_specs(self) -> tuple:
+        """(window, stride, dim) of each mock encoder."""
+        return ((self.enc1_window, self.enc1_stride, self.enc1_dim),
+                (self.enc2_window, self.enc2_stride, self.enc2_dim),
+                (self.enc3_window, self.enc3_stride, self.enc3_dim))
+
+    def audio_len_bound(self) -> int:
+        """Largest audio-prefix length the data spec can produce: the query
+        positions over the longest encoder output of the longest record."""
+        samples = self.record_frames(self.max_tokens) * self.samples_per_frame
+        frames = max((samples - window) // stride + 1
+                     for window, stride, _ in self.encoder_specs)
+        return -(-frames // self.window_frames) * self.n_queries
+
+    @property
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
@@ -119,9 +133,16 @@ class Config:
         for name in ("lm_heads", "n_queries", "window_frames", "frames_per_token",
                      "samples_per_frame", "batch_size", "min_tokens", "enc1_window",
                      "enc1_stride", "enc2_window", "enc2_stride", "enc3_window",
-                     "enc3_stride"):
+                     "enc3_stride", "n_experts", "expert_hidden", "score_hidden",
+                     "agg_hidden", "vocab_symbols"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lm_layers", "enc1_dim", "enc2_dim", "enc3_dim"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.ablate not in ABLATIONS:
+            raise ConfigError(f"ablate must be one of {', '.join(ABLATIONS)}, "
+                              f"got {self.ablate!r}")
         prompt_ids = 1 + max(max(ids) for _, ids in TASKS.values())
         if self.prompt_vocab < prompt_ids:
             raise ConfigError(f"prompt_vocab {self.prompt_vocab} cannot hold the "
@@ -153,10 +174,16 @@ class Config:
                 raise ConfigError(f"{what} {value} exceeds the dataset format's "
                                   f"limit of {limit}")
         shortest = self.record_frames(self.min_tokens) * self.samples_per_frame
-        widest = max(self.enc1_window, self.enc2_window, self.enc3_window)
+        widest = max(window for window, _, _ in self.encoder_specs)
         if shortest < widest:
             raise ConfigError(f"the shortest record has {shortest} samples, fewer "
                               f"than the widest encoder window {widest}")
+        # decoder sequence: audio prefix, prompt, then BOS and the text tokens
+        longest = (self.audio_len_bound() + max(len(ids) for _, ids in TASKS.values())
+                   + self.max_tokens + 1)
+        if longest > self.max_seq:
+            raise ConfigError(f"max_seq {self.max_seq} is shorter than the longest "
+                              f"decoder sequence the spec can build, {longest}")
         return self
 
 
@@ -166,13 +193,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 def _parse_value(key, raw, typ):
     raw = raw.strip()
     try:
-        if typ in ("bool", bool):
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if typ in ("int", int):
             return int(raw)
         if typ in ("float", float):
@@ -209,9 +229,7 @@ def dump_config(cfg: Config) -> str:
     lines = []
     for f in fields(Config):
         v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
+        if isinstance(v, float):
             v = repr(v)
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"

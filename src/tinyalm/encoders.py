@@ -23,7 +23,7 @@ class FusedFeatures:
 
 
 class MockEncoder:
-    """Frames a waveform and applies a frozen random projection."""
+    """Framing geometry and frozen random projection of one encoder."""
 
     def __init__(self, window: int, stride: int, dim: int, proj: Tensor):
         self.window = window
@@ -34,25 +34,13 @@ class MockEncoder:
     def out_length(self, n_samples: int) -> int:
         return (n_samples - self.window) // self.stride + 1
 
-    def encode(self, samples: np.ndarray) -> np.ndarray:
-        """[T_i, dim] frames; frame t covers samples[t*stride : t*stride+window]."""
-        if samples.shape[0] < self.window:
-            raise ValueError(f"waveform of {samples.shape[0]} samples is shorter "
-                             f"than encoder window {self.window}")
-        frames = np.lib.stride_tricks.sliding_window_view(samples, self.window)
-        frames = frames[::self.stride]
-        return frames @ self.proj.data
-
 
 class EncoderBank:
     def __init__(self, cfg: Config, store: ParamStore):
         self.cfg = cfg
         dt = cfg.np_dtype
-        specs = [(cfg.enc1_window, cfg.enc1_stride, cfg.enc1_dim),
-                 (cfg.enc2_window, cfg.enc2_stride, cfg.enc2_dim),
-                 (cfg.enc3_window, cfg.enc3_stride, cfg.enc3_dim)]
         self.encoders = []
-        for i, (window, stride, dim) in enumerate(specs, 1):
+        for i, (window, stride, dim) in enumerate(cfg.encoder_specs, 1):
             rng = seeded_rng(cfg.model_seed, 100 + i)
             proj = Tensor((rng.standard_normal((window, dim))
                            / np.sqrt(window)).astype(dt))
@@ -63,36 +51,32 @@ class EncoderBank:
     def fused_dim(self) -> int:
         return sum(e.dim for e in self.encoders)
 
-    def encode_all(self, waves: list[np.ndarray], zero_encoder: int = 0) -> FusedFeatures:
-        """Pad each encoder's frames to the batch-wide max length and
-        concatenate along channels. zero_encoder=i blanks that encoder's
-        channel block (ablation hook) without touching mask or lengths."""
+    def encode_all(self, waves: list[np.ndarray]) -> FusedFeatures:
+        """Frame the zero-padded batch with each encoder, pad its frames to
+        the batch-wide max length and concatenate along channels. Frame t of
+        an encoder covers samples[t*stride : t*stride+window]. Under
+        `ablate = encN` encoder N's channel block stays zero (mask and
+        lengths unchanged)."""
         dt = self.cfg.np_dtype
-        batch = len(waves)
-        valid = np.zeros((batch, 3), dtype=np.int64)
-        outs = []
-        for b, wave in enumerate(waves):
-            wave = np.asarray(wave, dtype=dt)
-            row = []
-            for i, enc in enumerate(self.encoders):
-                frames = enc.encode(wave)
-                valid[b, i] = frames.shape[0]
-                row.append(frames)
-            outs.append(row)
+        lengths = np.array([len(w) for w in waves])
+        widest = max(e.window for e in self.encoders)
+        if lengths.min() < widest:
+            raise ValueError(f"waveform of {lengths.min()} samples is shorter "
+                             f"than encoder window {widest}")
+        padded = np.zeros((len(waves), lengths.max()), dtype=dt)
+        padded[np.arange(lengths.max()) < lengths[:, None]] = np.concatenate(waves)
+        valid = np.stack([e.out_length(lengths) for e in self.encoders], axis=1)
 
         t_max = int(valid.max())
-        fused = np.zeros((batch, t_max, self.fused_dim), dtype=dt)
-        mask = np.zeros((batch, t_max), dtype=dt)
-        for b in range(batch):
-            off = 0
-            for i, enc in enumerate(self.encoders):
-                frames = outs[b][i]
-                fused[b, :frames.shape[0], off:off + enc.dim] = frames
-                off += enc.dim
-            mask[b, :valid[b].max()] = 1.0
-
-        if zero_encoder:
-            off = sum(e.dim for e in self.encoders[:zero_encoder - 1])
-            fused[:, :, off:off + self.encoders[zero_encoder - 1].dim] = 0.0
-
+        fused = np.zeros((len(waves), t_max, self.fused_dim), dtype=dt)
+        off = 0
+        for i, enc in enumerate(self.encoders):
+            if self.cfg.ablate != f"enc{i + 1}":
+                frames = np.lib.stride_tricks.sliding_window_view(
+                    padded, enc.window, axis=1)[:, ::enc.stride]
+                block = frames @ enc.proj.data
+                block[np.arange(block.shape[1]) >= valid[:, i, None]] = 0.0
+                fused[:, :block.shape[1], off:off + enc.dim] = block
+            off += enc.dim
+        mask = (np.arange(t_max) < valid.max(axis=1)[:, None]).astype(dt)
         return FusedFeatures(values=Tensor(fused), mask=mask, valid_lengths=valid)

@@ -1,7 +1,7 @@
 """Full pipeline: frozen encoder bank -> input projection -> window
 Q-Former -> prompt-routed expert projection -> (a) frozen decoder with LoRA
-for token cross-entropy and (b) contrastive frame scoring. Ablation flags
-bypass exactly one stage each."""
+for token cross-entropy and (b) contrastive frame scoring. `cfg.ablate`
+bypasses at most one stage."""
 
 from __future__ import annotations
 
@@ -84,10 +84,7 @@ class Model:
         to this bound (pad slots key-masked): prompt and text tokens then sit
         at the same positions in every batch and during greedy decoding.
         """
-        cfg = self.cfg
-        max_samples = cfg.record_frames(cfg.max_tokens) * cfg.samples_per_frame
-        t_max = max(e.out_length(max_samples) for e in self.encoders.encoders)
-        return self.qformer.n_windows(t_max) * cfg.n_queries
+        return self.cfg.audio_len_bound()
 
     def pad_audio(self, audio_prefix: Tensor, audio_valid: np.ndarray):
         """Right-pad the audio segment to the fixed positional bound."""
@@ -107,14 +104,13 @@ class Model:
         embedding. Returns (fused, zfeat, phi, routing, audio_prefix,
         audio_valid, prompt_vecs); routing is None when TAPM is disabled."""
         cfg = self.cfg
-        fused = self.encoders.encode_all([r.samples for r in records],
-                                         zero_encoder=cfg.zero_encoder)
+        fused = self.encoders.encode_all([r.samples for r in records])
         proj = self.inproj(fused.values)
         zfeat = self.qformer.forward(proj, fused.mask)
 
         task_ids = np.array([r.task_id for r in records])
         prompt_ids = np.stack([r.prompt_ids for r in records])
-        if cfg.disable_tapm:
+        if cfg.ablate == "tapm":
             phi, routing = zfeat.values, None
         else:
             projected = self.tapm.forward(zfeat.values, task_ids, prompt_ids)
@@ -138,7 +134,7 @@ class Model:
         l_ce = ce_loss(logits, seq.labels, seq.loss_mask)
 
         sac = None
-        if compute_saclm and not cfg.disable_saclm:
+        if compute_saclm and cfg.ablate != "saclm":
             lengths = np.array([len(t) for t in targets])
             text_ids = np.full((len(targets), lengths.max()), cfg.pad_id)
             text_ids[np.arange(lengths.max()) < lengths[:, None]] = \

@@ -1,8 +1,8 @@
 """AdamW with decoupled weight decay and the linear warmup/decay schedule.
 
-Decay is skipped for biases, layer-norm gains and the query bank when the
-config flag says so; everything else decays toward zero at wd*lr
-per step, applied outside the moment estimates.
+Decay is skipped for biases, layer-norm gains and the query bank;
+everything else decays toward zero at wd*lr per step, applied outside the
+moment estimates.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ def lr_at(step: int, total: int, peak: float, warm_ratio: float) -> float:
 
 
 class AdamW:
-    """With `decay_exempt_bias_and_query`, a trainable skips weight decay iff
-    its leaf name (after the last ".") is one of `_EXEMPT_LEAVES` or it is
-    `qformer.query`. A module that adds a bias or gain must name it so;
-    any other name decays, whatever its rank."""
+    """A trainable skips weight decay iff its leaf name (after the last ".")
+    is one of `_EXEMPT_LEAVES` or it is `qformer.query`. A module that adds
+    a bias or gain must name it so; any other name decays, whatever its
+    rank."""
 
     def __init__(self, store: ParamStore, cfg: Config):
         self.store = store
@@ -46,8 +46,7 @@ class AdamW:
         for name, t in store.trainable_items():
             self.m[name] = np.zeros_like(t.data)
             self.v[name] = np.zeros_like(t.data)
-            if cfg.decay_exempt_bias_and_query and (
-                    name.rsplit(".", 1)[-1] in _EXEMPT_LEAVES
+            if (name.rsplit(".", 1)[-1] in _EXEMPT_LEAVES
                     or name == "qformer.query"):
                 self.exempt.add(name)
 

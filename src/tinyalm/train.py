@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tape
-from .config import Config
 from .data import window_labels
 from .model import Model
 from .optim import AdamW, lr_at
@@ -26,9 +25,8 @@ def batch_indices(step: int, batch_size: int, n: int) -> list:
 
 
 def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
-    cfg = model.cfg
     model.store.zero_grads()
-    rng = seeded_rng(cfg.seed, 70000 + step)
+    rng = seeded_rng(model.cfg.seed, 70000 + step)
     with Tape() as tape:
         out = model.forward_batch(records, rng)
         if not np.isfinite(out.loss.data):
@@ -41,7 +39,8 @@ def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
             raise TrainAbort(f"non-finite gradient for {name} at step {step}; "
                              f"first op with a non-finite output: "
                              f"{tape.first_nonfinite()!r}")
-    lr = lr_at(step, cfg.total_steps, cfg.lr, cfg.warmup_ratio)
+    # the optimizer's config owns the schedule
+    lr = lr_at(step, opt.cfg.total_steps, opt.cfg.lr, opt.cfg.warmup_ratio)
     opt.step(lr)
     row = {"step": step, "lr": lr, "L": float(out.loss.data),
            "L_CE": float(out.loss_ce.data)}
@@ -63,11 +62,10 @@ def format_log_row(row: dict) -> str:
 def run_training(model: Model, opt: AdamW, records: list,
                  start_step: int = 0, stop_after: int = None,
                  log=None) -> list:
-    cfg = model.cfg
-    last = cfg.total_steps if stop_after is None else stop_after
+    last = opt.cfg.total_steps if stop_after is None else stop_after
     rows = []
     for step in range(start_step, last):
-        batch = [records[i] for i in batch_indices(step, cfg.batch_size,
+        batch = [records[i] for i in batch_indices(step, model.cfg.batch_size,
                                                    len(records))]
         row = train_step(model, opt, batch, step)
         rows.append(row)

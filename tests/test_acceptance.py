@@ -213,15 +213,16 @@ def test_criterion_7_routing_differentiation():
 
 
 def test_criterion_8_ablations_strictly_worse():
-    def final_combined(**flags):
+    def final_combined(ablate):
         model, _, recs, _ = train_model(total_steps=1200, lr=3e-3,
-                                        batch_size=8, seed=0, **flags)
-        model.cfg = dataclasses.replace(model.cfg, disable_saclm=False)
+                                        batch_size=8, seed=0, ablate=ablate)
+        if ablate == "saclm":  # score the combined loss, SAC term included
+            model.cfg = dataclasses.replace(model.cfg, ablate="none")
         return evaluate(model, recs)["mean_L"]
 
-    full = final_combined()
-    no_saclm = final_combined(disable_saclm=True)
-    no_tapm = final_combined(disable_tapm=True)
+    full = final_combined("none")
+    no_saclm = final_combined("saclm")
+    no_tapm = final_combined("tapm")
     ok = no_saclm > full and no_tapm > full
     report(8, "disabling SACLM or TAPM trains to a strictly higher combined "
               "loss at matched steps and seed",

@@ -58,6 +58,19 @@ def test_train_then_eval_and_routing(workdir, capsys):
     assert "L1 distance" in captured
 
 
+def test_ablate_flag_sets_the_config_key(workdir, capsys):
+    root, cfg, data = workdir
+    out = root / "ablated"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out-dir", str(out), "--ablate", "tapm"]) == 0
+    assert load_config(str(out / "config.txt")).ablate == "tapm"
+    capsys.readouterr()
+    rc = main(["inspect-routing", "--ckpt", str(out / "final.ckpt"),
+               "--data", str(data)])
+    assert rc == 2
+    assert "TAPM disabled" in capsys.readouterr().err
+
+
 def test_restore_reads_the_checkpoint_once(workdir, monkeypatch):
     root, cfg, data = workdir
     out = root / "run"
@@ -133,6 +146,24 @@ def test_unknown_config_key_is_usage_error(workdir, capsys):
                "--out-dir", str(root / "x")])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ablate = enc5", "ablate must be one of"),
+    ("zero_encoder = 5", "unknown key 'zero_encoder'"),
+    ("n_experts = 0", "n_experts must be >= 1"),
+    ("max_seq = 10", "max_seq 10 is shorter"),
+])
+def test_malformed_config_is_usage_error(workdir, capsys, line, message):
+    root, cfg, data = workdir
+    bad = root / "bad.txt"
+    bad.write_text(SMALL + line + "\n")
+    rc = main(["train", "--config", str(bad), "--data", str(data),
+               "--out-dir", str(root / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_spec_mismatch_is_usage_error(workdir, capsys):

@@ -1,7 +1,12 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from tinyalm.config import (Config, ConfigError, dump_config, fingerprint,
-                            parse_config)
+import tinyalm
+from tinyalm.config import (ABLATIONS, Config, ConfigError, dump_config,
+                            fingerprint, parse_config)
 
 
 def test_defaults_match_reference_training_recipe():
@@ -18,7 +23,7 @@ def test_defaults_match_reference_training_recipe():
 
 
 def test_dump_parse_roundtrip_every_field():
-    cfg = Config(d_model=48, lr=3e-3, disable_tapm=True, noise_ratio=0.45,
+    cfg = Config(d_model=48, lr=3e-3, ablate="tapm", noise_ratio=0.45,
                  dtype="float64", lm_heads=4)
     back = parse_config(dump_config(cfg))
     assert back == cfg
@@ -50,13 +55,15 @@ def test_bad_value_types_rejected():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("batch_size = eight\n")
     with pytest.raises(ConfigError, match="bad value"):
-        parse_config("disable_tapm = maybe\n")
+        parse_config("lr = fast\n")
 
 
-def test_bool_spellings():
-    assert parse_config("disable_tapm = true\n").disable_tapm is True
-    assert parse_config("disable_tapm = 0\n").disable_tapm is False
-    assert parse_config("disable_saclm = YES\n").disable_saclm is True
+def test_ablate_takes_exactly_the_listed_values():
+    for name in ABLATIONS:
+        assert parse_config(f"ablate = {name}\n").ablate == name
+    for bad in ("enc5", "enc0", "true", "", "TAPM"):
+        with pytest.raises(ConfigError, match="ablate must be one of"):
+            Config(ablate=bad).validate()
 
 
 def test_validate_rejects_out_of_range():
@@ -80,6 +87,16 @@ def test_validate_rejects_out_of_range():
     (dict(prompt_vocab=2), "prompt_vocab"),
     # 1 token of 1 frame is 16 samples, narrower than the 64-sample window
     (dict(min_tokens=1, frames_per_token=1), "encoder window"),
+    (dict(n_experts=0), "n_experts"),
+    (dict(expert_hidden=0), "expert_hidden"),
+    (dict(score_hidden=0), "score_hidden"),
+    (dict(agg_hidden=0), "agg_hidden"),
+    (dict(vocab_symbols=0), "vocab_symbols"),
+    (dict(lm_layers=-1), "lm_layers"),
+    (dict(enc1_dim=-1), "enc1_dim"),
+    # default spec: 6 audio positions + 2 prompt + BOS and 8 tokens = 17
+    (dict(max_seq=16), "max_seq 16"),
+    (dict(max_seq=10), "max_seq 10"),
 ])
 def test_validate_rejects_range_gaps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -96,14 +113,15 @@ def test_validate_rejects_token_ids_beyond_u8():
 
 def test_validate_rejects_target_count_beyond_u8():
     # a record stores max_tokens + 1 targets (EOS included) behind a u8 count
-    Config(max_tokens=254).validate()
+    Config(max_tokens=254, max_seq=439).validate()
     with pytest.raises(ConfigError, match="max_tokens"):
         Config(max_tokens=255).validate()
 
 
 def test_validate_rejects_frames_beyond_u16():
     # noise positions are u16 frame indices behind a u16 count
-    Config(max_tokens=200, frames_per_token=300, noise_ratio=0.0).validate()
+    Config(max_tokens=200, frames_per_token=300, noise_ratio=0.0,
+           max_seq=7703).validate()
     with pytest.raises(ConfigError, match="65535"):
         Config(max_tokens=200, frames_per_token=300).validate()
     with pytest.raises(ConfigError, match="samples per record"):
@@ -120,3 +138,19 @@ def test_derived_token_ids():
     cfg = Config()
     assert (cfg.bos_id, cfg.eos_id, cfg.pad_id) == (32, 33, 34)
     assert cfg.vocab_total == 35
+
+
+def test_max_seq_bound_is_tight():
+    Config(max_seq=17).validate()
+    Config(lm_layers=0, enc2_dim=0, enc3_dim=0).validate()
+
+
+def test_every_config_field_is_read():
+    """A field that no code reads as an attribute is a dead knob."""
+    read = set()
+    for path in Path(tinyalm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f.name for f in dataclasses.fields(Config) if f.name not in read]
+    assert unread == []

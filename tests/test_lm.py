@@ -106,7 +106,8 @@ def test_masked_position_content_does_not_leak():
 
 
 def test_overlength_rejected():
-    _, _, dec = make_lm(max_seq=16)
+    # max_tokens 7: the spec's longest sequence (15) fits in max_seq 16
+    _, _, dec = make_lm(max_seq=16, max_tokens=7)
     h = embed_random(dec, 1, 17, seed=6)
     with pytest.raises(ValueError, match="exceeds"):
         dec.forward(h)
@@ -160,7 +161,7 @@ def test_ce_gradient_fd():
 
 def test_decoder_lora_gradient_fd():
     cfg, store, dec = make_lm(dtype="float64", d_model=8, lm_heads=2,
-                              lm_layers=1, lora_rank=2, max_seq=16)
+                              lm_layers=1, lora_rank=2, max_seq=16, max_tokens=7)
     rng = seeded_rng(20)
     for ad in (dec.layers[0]["lora_q"], dec.layers[0]["lora_v"]):
         ad.a.data[...] = rng.standard_normal(ad.a.shape) * 0.3

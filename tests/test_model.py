@@ -49,7 +49,7 @@ def test_forward_combined_loss_law():
 
 
 def test_disable_saclm_gives_pure_ce():
-    cfg, model, recs = make(disable_saclm=True)
+    cfg, model, recs = make(ablate="saclm")
     out = model.forward_batch(recs[:4], seeded_rng(0))
     assert out.sac is None
     assert out.loss.item() == out.loss_ce.item()
@@ -57,7 +57,7 @@ def test_disable_saclm_gives_pure_ce():
 
 def test_disable_tapm_bypasses_projection_only():
     _, base_model, recs = make()
-    _, ablated, _ = make(disable_tapm=True)
+    _, ablated, _ = make(ablate="tapm")
     b = base_model.forward_batch(recs[:4], seeded_rng(0))
     a = ablated.forward_batch(recs[:4], seeded_rng(0))
     # upstream stages identical bit for bit
@@ -71,7 +71,7 @@ def test_disable_tapm_bypasses_projection_only():
 
 def test_zero_encoder_changes_only_its_block():
     _, base_model, recs = make()
-    _, ablated, _ = make(zero_encoder=2)
+    _, ablated, _ = make(ablate="enc2")
     b = base_model.forward_batch(recs[:4], seeded_rng(0))
     a = ablated.forward_batch(recs[:4], seeded_rng(0))
     fa, fb = a.fused.values.data, b.fused.values.data

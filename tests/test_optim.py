@@ -93,17 +93,6 @@ def test_default_model_exempts_biases_gains_and_query():
     assert sum(trainable[n].size for n in opt.exempt) == 1473
 
 
-def test_exemption_flag_off_decays_everything():
-    cfg = Config(decay_exempt_bias_and_query=False)
-    store = ParamStore()
-    vec = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-    store.register("layer.b", vec, trainable=True)
-    opt = AdamW(store, cfg)
-    vec.grad = np.zeros_like(vec.data)
-    opt.step(0.1)
-    assert np.all(vec.data < 1.0)
-
-
 def test_missing_gradient_treated_as_zero():
     cfg = Config()
     store = ParamStore()

@@ -5,7 +5,7 @@ from tinyalm.autodiff import Tape
 from tinyalm.config import Config
 from tinyalm.data import gen_dataset
 from tinyalm.model import Model
-from tinyalm.optim import AdamW
+from tinyalm.optim import AdamW, lr_at
 from tinyalm.train import (TrainAbort, batch_indices, evaluate,
                            format_log_row, run_training, train_step)
 
@@ -102,12 +102,24 @@ def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
 
 
 def test_disable_saclm_trains_on_pure_ce():
-    _, model, recs, opt = setup(total_steps=3, batch_size=4,
-                                disable_saclm=True)
+    _, model, recs, opt = setup(total_steps=3, batch_size=4, ablate="saclm")
     rows = run_training(model, opt, recs)
     for row in rows:
         assert row["L"] == row["L_CE"]
         assert row["L_SAC"] == 0.0
+
+
+def test_optimizer_config_owns_the_schedule():
+    # the model's config says 1000 steps, the optimizer's says 4
+    _, model, recs, _ = setup()
+    short = Config(total_steps=4)
+    opt = AdamW(model.store, short)
+    logged = []
+    rows = run_training(model, opt, recs, stop_after=2, log=logged.append)
+    want = [lr_at(s, 4, short.lr, short.warmup_ratio) for s in (0, 1)]
+    assert [row["lr"] for row in rows] == want
+    assert [line.split()[1] for line in logged] == [f"lr={lr:.6e}" for lr in want]
+    assert len(run_training(model, opt, recs, start_step=2)) == 2
 
 
 def test_evaluate_untrained_is_chance_level():
