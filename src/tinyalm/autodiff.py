@@ -187,6 +187,7 @@ def sub(a, b):
 
 
 def mul(a, b):
+    """a * b; either side may be a python scalar, cast to the other's dtype."""
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = Tensor(a.data * b.data)
@@ -214,20 +215,6 @@ def div(a, b):
     return out
 
 
-def scale(a, c: float):
-    """Multiply by a python scalar without creating a constant tensor."""
-    a = _as_tensor(a)
-    c = float(c)
-    out = Tensor(a.data * c)
-    na = _tracked(a)
-
-    def backward(g):
-        return (g * c if na else None,)
-
-    _maybe_record("scale", (a,), out, backward)
-    return out
-
-
 def relu(a):
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0))
@@ -245,8 +232,8 @@ def sigmoid(a):
     a = _as_tensor(a)
     x = a.data
     # stable in both tails
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(x.dtype, copy=False)
     out = Tensor(s)
     na = _tracked(a)
@@ -406,6 +393,8 @@ def concat(tensors, axis=0):
 
 
 def slice_(a, key):
+    """a[key] for any numpy key: slices, ints or integer arrays. The one
+    gather: its backward scatter-adds, so a repeated index accumulates."""
     a = _as_tensor(a)
     out = Tensor(a.data[key])
     na = _tracked(a)
@@ -414,7 +403,7 @@ def slice_(a, key):
         if not na:
             return (None,)
         ga = np.zeros_like(a.data)
-        ga[key] = g
+        np.add.at(ga, key, g)
         return (ga,)
 
     _maybe_record("slice", (a,), out, backward)
@@ -423,22 +412,10 @@ def slice_(a, key):
 
 def embedding_lookup(table, ids):
     """Row gather: out[i...] = table[ids[i...]]. ids is a plain int array."""
-    table = _as_tensor(table)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(f"embedding ids out of range [0, {table.shape[0]})")
-    out = Tensor(table.data[ids])
-    nt = _tracked(table)
-
-    def backward(g):
-        if not nt:
-            return (None,)
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
-
-    _maybe_record("embedding_lookup", (table,), out, backward)
-    return out
+    return slice_(table, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +470,7 @@ def cosine_distance(a, b, eps: float = 1e-8):
     dot = sum_(mul(a, b), axis=-1)
     na = sqrt(sum_(mul(a, a), axis=-1))
     nb = sqrt(sum_(mul(b, b), axis=-1))
-    denom = add(mul(na, nb), Tensor(np.asarray(eps, dtype=a.dtype)))
-    return sub(Tensor(np.asarray(1.0, dtype=a.dtype)), div(dot, denom))
+    return sub(1.0, div(dot, add(mul(na, nb), eps)))
 
 
 def ste_threshold(a, theta: float):
@@ -533,7 +509,7 @@ def attention(q, k, v, allowed=None):
     allowed: boolean array broadcastable to the scores; keys where it is
     false get MASK_NEG, so their weight underflows to exactly 0."""
     k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = scale(matmul(q, k_t), 1.0 / np.sqrt(k.shape[-1]))
+    scores = mul(matmul(q, k_t), 1.0 / np.sqrt(k.shape[-1]))
     if allowed is not None:
         mask = np.where(allowed, 0.0, MASK_NEG).astype(scores.dtype)
         scores = add(scores, Tensor(mask))
@@ -545,5 +521,5 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     mu = mean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(centered, sqrt(add(var, Tensor(np.asarray(eps, dtype=x.dtype)))))
+    inv = div(centered, sqrt(add(var, eps)))
     return add(mul(inv, gain), bias)

@@ -1,8 +1,8 @@
 """Checkpoint format: a little-endian binary container holding the config
 (text plus its sha256 fingerprint), the global step, every named tensor as
 row-major float32, and AdamW moments for the trainable set. Save -> load ->
-save is byte-identical; loading refuses a foreign config fingerprint unless
-forced."""
+save is byte-identical; loading refuses a foreign config fingerprint when
+it is given the current config text."""
 
 from __future__ import annotations
 
@@ -91,21 +91,18 @@ def peek_checkpoint(path) -> dict:
             "config_text": config_text, "step": step, "_reader": r}
 
 
-def load_checkpoint(path, store, opt=None, config_text: str = None,
-                    force: bool = False) -> int:
+def load_checkpoint(path, store, opt=None, config_text: str = None) -> int:
     """Restore parameters (and moments when opt is given); returns the step.
 
-    config_text, when provided, must fingerprint-match the checkpoint
-    unless force=True.
+    config_text, when provided, must fingerprint-match the checkpoint.
     """
     head = peek_checkpoint(path)
-    if config_text is not None and not force:
+    if config_text is not None:
         want = fingerprint(config_text)
         if want != head["fingerprint"]:
             raise CheckpointError(
                 f"{path}: config fingerprint mismatch (checkpoint "
-                f"{head['fingerprint'][:12]}.., current {want[:12]}..); "
-                f"pass force to override")
+                f"{head['fingerprint'][:12]}.., current {want[:12]}..)")
     return apply_checkpoint(head, store, opt)
 
 

@@ -41,7 +41,7 @@ def _op_outputs(rng):
     yield "sub", lambda p: ad.sub(p["a"], p["b"]), {"a": t(3, 4), "b": t(3, 4)}
     yield "mul", lambda p: ad.mul(p["a"], p["b"]), {"a": t(3, 4), "b": t(3, 4)}
     yield "div", lambda p: ad.div(p["a"], p["b"]), {"a": t(3, 4), "b": u(1.0, 2.0, 3, 4)}
-    yield "scale", lambda p: ad.scale(p["a"], -1.7), {"a": t(3, 4)}
+    yield "mul_scalar", lambda p: ad.mul(p["a"], -1.7), {"a": t(3, 4)}
     yield "relu", lambda p: ad.relu(p["a"]), \
         {"a": Tensor(rng.uniform(0.2, 1.5, (3, 4)) * np.sign(rng.standard_normal((3, 4))),
                      requires_grad=True)}  # kept away from the kink at 0
@@ -85,6 +85,8 @@ def _op_outputs(rng):
     # a size-1 middle axis, as the stacked [E, 1, h] expert biases broadcast
     yield "add_broadcast_axis", lambda p: ad.add(p["a"], p["b"]), \
         {"a": t(2, 3, 4), "b": t(2, 1, 4)}
+    # an integer-array key that repeats row 2: its gradient accumulates twice
+    yield "slice_repeated", lambda p: ad.slice_(p["a"], (np.array([2, 0, 2]),)), {"a": t(3, 4)}
 
 
 def _op_cases(rng):

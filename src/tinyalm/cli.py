@@ -89,11 +89,11 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     ok = True
     if args.scope in ("op", "both"):
-        op_ok, rep = run_op_suite(eps=args.eps, tol=args.tol)
+        op_ok, rep = run_op_suite()
         print(format_report(rep))
         ok = ok and op_ok
     if args.scope in ("model", "both"):
-        m_ok, rep = run_model_suite(eps=args.model_eps, tol=args.tol)
+        m_ok, rep = run_model_suite()
         print(format_report(rep))
         ok = ok and m_ok
     print("gradcheck:", "PASS" if ok else "FAIL")
@@ -161,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     c.add_argument("--scope", choices=["op", "model", "both"], default="both")
-    c.add_argument("--eps", type=float, default=1e-6,
-                   help="FD step for the primitive sweep")
-    c.add_argument("--model-eps", type=float, default=1e-5,
-                   help="FD step for the end-to-end model check")
-    c.add_argument("--tol", type=float, default=1e-4)
     c.set_defaults(fn=_cmd_gradcheck)
 
     r = sub.add_parser("inspect-routing", help="per-task mean routing weights")

@@ -151,6 +151,15 @@ class Config:
             raise ConfigError(f"warmup_ratio must lie in (0,1), got {self.warmup_ratio}")
         if not (0.0 <= self.alpha_mix <= 1.0):
             raise ConfigError(f"alpha_mix must lie in [0,1], got {self.alpha_mix}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ConfigError(f"{name} must lie in [0,1), got {getattr(self, name)}")
+        for name in ("adam_eps", "eps_norm", "eps_agg"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("lr", "weight_decay", "margin", "lambda_sparsity"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lora_rank >= self.d_model:
             raise ConfigError(f"lora_rank {self.lora_rank} must be < d_model {self.d_model}")
         if self.d_model % self.lm_heads != 0:

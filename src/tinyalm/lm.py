@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Tensor, add, attention, concat, embedding_lookup,
-                       layer_norm, linear, log_softmax, matmul, relu, reshape,
-                       scale, slice_, sum_, transpose)
+                       layer_norm, linear, log_softmax, matmul, mul, relu,
+                       reshape, slice_, sum_, transpose)
 from .config import Config, ConfigError
 from .params import ParamStore, seeded_rng
 
@@ -148,7 +148,7 @@ def ce_loss(logits: Tensor, labels: np.ndarray, loss_mask: np.ndarray) -> Tensor
     rows, cols = np.nonzero(mask > 0)
     picked = slice_(log_softmax(logits, axis=-1),
                     (rows, cols, np.asarray(labels)[rows, cols]))
-    return scale(sum_(picked), -1.0 / total)
+    return mul(sum_(picked), -1.0 / total)
 
 
 def build_sequence(cfg: Config, decoder: ToyDecoder, audio_prefix: Tensor,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, embedding_lookup, linear, scale
+from .autodiff import Tensor, add, concat, embedding_lookup, linear, mul
 from .config import Config
 from .data import Record
 from .encoders import EncoderBank, FusedFeatures
@@ -141,8 +141,8 @@ class Model:
                 np.concatenate(targets)
             sac = self.saclm.forward(phi, self.decoder.embed_tokens(text_ids),
                                      lengths, rng, decisions=saclm_decisions)
-            loss = add(scale(l_ce, cfg.alpha_mix),
-                       scale(sac.loss_sac, 1.0 - cfg.alpha_mix))
+            loss = add(mul(l_ce, cfg.alpha_mix),
+                       mul(sac.loss_sac, 1.0 - cfg.alpha_mix))
         else:
             loss = l_ce
         return ForwardOut(loss=loss, loss_ce=l_ce, sac=sac, routing=routing,

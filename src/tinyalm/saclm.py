@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Tensor, add, concat, cosine_distance, div, linear,
-                       matmul, mean, mul, relu, reshape, scale, sigmoid,
+                       matmul, mean, mul, relu, reshape, sigmoid,
                        slice_, ste_threshold, sub, sum_)
 from .config import Config, ConfigError
 from .params import ParamStore, seeded_rng
@@ -115,9 +115,7 @@ class Saclm:
         b, t_a, _ = phi.shape
         w = reshape(mul(d, s), (b, t_a, 1))
         num = sum_(mul(self.agg_net(phi), w), axis=1)
-        den = add(sum_(w, axis=1), Tensor(np.asarray(self.cfg.eps_agg,
-                                                     dtype=phi.dtype)))
-        return div(num, den)
+        return div(num, add(sum_(w, axis=1), self.cfg.eps_agg))
 
     def sample_negatives(self, pooled: Tensor, rng: np.random.Generator):
         perm = derangement(pooled.shape[0], rng)
@@ -159,7 +157,7 @@ class Saclm:
                          (b, text.shape[2]))
         neg, perm = self.sample_negatives(pooled, rng)
         loss_t = self.triplet(phi_p, pooled, neg)
-        loss_s = scale(mean(s), self.cfg.lambda_sparsity)
+        loss_s = mul(mean(s), self.cfg.lambda_sparsity)
         return SaclmOutput(scores=s, decisions=d, aggregated=phi_p,
                            loss_triplet=loss_t, loss_sparsity=loss_s,
                            loss_sac=add(loss_t, loss_s),

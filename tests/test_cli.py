@@ -153,6 +153,7 @@ def test_unknown_config_key_is_usage_error(workdir, capsys):
     ("zero_encoder = 5", "unknown key 'zero_encoder'"),
     ("n_experts = 0", "n_experts must be >= 1"),
     ("max_seq = 10", "max_seq 10 is shorter"),
+    ("adam_beta1 = 1.0", "adam_beta1 must lie in [0,1)"),
 ])
 def test_malformed_config_is_usage_error(workdir, capsys, line, message):
     root, cfg, data = workdir
@@ -228,8 +229,15 @@ def test_gradcheck_op_scope_passes(capsys):
 def test_gradcheck_reports_failure_exit_code(capsys, monkeypatch):
     import tinyalm.cli as cli
     monkeypatch.setattr(cli, "run_op_suite",
-                        lambda eps, tol: (False, [{"name": "rigged", "ok": False,
-                                                   "max_rel_err": 1.0}]))
+                        lambda: (False, [{"name": "rigged", "ok": False,
+                                          "max_rel_err": 1.0}]))
     rc = main(["gradcheck", "--scope", "op"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_tolerance_is_not_a_flag():
+    # criterion 1's FD gate is fixed; no flag can loosen it
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--tol", "1"])
+    assert exc.value.code == 2

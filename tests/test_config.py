@@ -97,6 +97,17 @@ def test_validate_rejects_out_of_range():
     # default spec: 6 audio positions + 2 prompt + BOS and 8 tokens = 17
     (dict(max_seq=16), "max_seq 16"),
     (dict(max_seq=10), "max_seq 10"),
+    # AdamW's bias corrections divide by 1 - beta**t, which is 0 at beta = 1
+    (dict(adam_beta1=1.0), "adam_beta1"),
+    (dict(adam_beta1=-0.1), "adam_beta1"),
+    (dict(adam_beta2=1.0), "adam_beta2"),
+    (dict(adam_eps=0.0), "adam_eps"),
+    (dict(eps_norm=0.0), "eps_norm"),
+    (dict(eps_agg=-1e-8), "eps_agg"),
+    (dict(lr=-1e-3), "lr"),
+    (dict(weight_decay=-1e-6), "weight_decay"),
+    (dict(margin=-0.2), "margin"),
+    (dict(lambda_sparsity=-0.01), "lambda_sparsity"),
 ])
 def test_validate_rejects_range_gaps(over, match):
     with pytest.raises(ConfigError, match=match):

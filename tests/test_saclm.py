@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tinyalm.autodiff import Tape, Tensor, mean, scale
+from tinyalm.autodiff import Tape, Tensor, mean, mul
 from tinyalm.config import Config, ConfigError
 from tinyalm.gradcheck import grad_check
 from tinyalm.params import ParamStore, seeded_rng
@@ -186,7 +186,7 @@ def test_sparsity_value_and_gradient():
     s = Tensor(seeded_rng(13).uniform(0.1, 0.9, (2, 6)).astype(np.float32),
                requires_grad=True)
     with Tape() as tape:
-        loss = scale(mean(s), cfg.lambda_sparsity)
+        loss = mul(mean(s), cfg.lambda_sparsity)
         tape.backward(loss)
     want = cfg.lambda_sparsity / (2 * 6)
     np.testing.assert_allclose(s.grad, np.full((2, 6), want), rtol=1e-6)

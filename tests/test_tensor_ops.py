@@ -243,7 +243,7 @@ def test_random_primitive_sweep_in_range():
         lambda: ad.relu(ad.add(ad.mul(x, x), 0.3)),
         lambda: ad.sigmoid(ad.sub(x, 0.1)),
         lambda: ad.softmax(x, axis=0),
-        lambda: ad.sigmoid(ad.scale(x, 2.5)),
+        lambda: ad.sigmoid(ad.mul(x, 2.5)),
     ]
     for make in makers:
         sc = scalarize()
