@@ -10,6 +10,8 @@ everything else receives gradient transiently or not at all.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Additive pre-softmax mask value. Finite so backward stays NaN-free, but
@@ -26,6 +28,9 @@ class DomainError(ValueError):
 
 
 _TAPE: "Tape | None" = None
+
+# the dtypes a Tensor keeps; anything else is cast to float64
+_FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
 class Tape:
@@ -93,7 +98,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -293,11 +298,16 @@ def sum_(a, axis=None, keepdims=False):
 
 
 def mean(a, axis=None, keepdims=False):
+    """Sum over the axes divided by their exact integer count: equal bit for
+    bit to np.mean, which divides in float64 and rounds once more to the
+    operand's dtype (a float64 quotient of float32 values rounds to the
+    float32 quotient), at a fraction of its per-call cost."""
     a = _as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
+    axes = range(a.ndim) if axis is None else (
+        axis if isinstance(axis, tuple) else (axis,))
+    n = math.prod(a.data.shape[ax] for ax in axes)
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims) / n)
     na = _tracked(a)
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
 
     def backward(g):
         if not na:

@@ -2,20 +2,22 @@
 
 The base weights are seeded, registered frozen, and never touched by the
 optimizer; the only trainable pieces are rank-r adapter pairs on each
-layer's query and value projections (W_eff = W + A@B, recomputed every
-forward, B zero-initialized so training starts exactly at the base model).
+layer's query and value projections (W_eff = W + A@B, B zero-initialized
+so training starts exactly at the base model). Each uncached forward
+recomputes W_eff; a decode cache folds it once and then feeds the decoder
+one new position per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, add, attention, concat, embedding_lookup,
-                       layer_norm, linear, log_softmax, matmul, mul, relu,
-                       reshape, slice_, sum_, transpose)
+from .autodiff import (ShapeError, Tensor, add, attention, concat,
+                       embedding_lookup, layer_norm, linear, log_softmax,
+                       matmul, mul, relu, reshape, slice_, sum_, transpose)
 from .config import Config, ConfigError
 from .params import ParamStore, seeded_rng
 
@@ -41,7 +43,6 @@ class SequenceBatch:
     loss_mask: np.ndarray    # [B, L] 1.0 exactly at supervised positions
     segments: np.ndarray     # [B, L] 0 audio, 1 prompt, 2 text
     audio_len: int
-    prompt_len: int
 
 
 class ToyDecoder:
@@ -96,24 +97,44 @@ class ToyDecoder:
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return embedding_lookup(self.tok_embed, np.asarray(ids))
 
-    def forward(self, h: Tensor, key_valid=None, use_lora: bool = True):
+    def fold_adapters(self, layer: dict, use_lora: bool = True):
+        """The layer's (wq, wv), each with its adapter's A@B added in."""
+        if not use_lora:
+            return layer["wq"], layer["wv"]
+        return layer["lora_q"].apply(layer["wq"]), layer["lora_v"].apply(layer["wv"])
+
+    def forward(self, h: Tensor, key_valid=None, use_lora: bool = True,
+                cache: DecodeCache = None):
         """h: [B, L, d_model] embedded inputs (position added here).
 
         Returns logits [B, L, vocab]. Causal: position t sees keys <= t.
         key_valid masks pad/inert positions out of every attention row.
+
+        With a cache, h holds only the positions after the `cache.length`
+        already seen: they take absolute positions start..start+L-1, attend
+        to every cached key as well as to each other, and their keys and
+        values are appended. The cache's first call folds the adapters
+        (per `use_lora`) into (wq, wv) for every later call. Positions past
+        `max_seq` raise ShapeError.
         """
         cfg = self.cfg
         batch, length, d = h.shape
-        if length > cfg.max_seq:
-            raise ValueError(f"sequence length {length} exceeds max "
+        start = 0 if cache is None else cache.length
+        if start + length > cfg.max_seq:
+            raise ShapeError(f"sequence length {start + length} exceeds max "
                              f"{cfg.max_seq}")
         n_heads = cfg.lm_heads
         dh = d // n_heads
 
-        pos = slice_(self.pos_embed, (slice(0, length),))
+        pos = slice_(self.pos_embed, (slice(start, start + length),))
         x = add(h, pos)
 
-        allowed = np.tril(np.ones((length, length), dtype=bool))
+        allowed = np.tri(length, start + length, start, dtype=bool)
+        if cache is not None:
+            key_valid = cache.extend_valid(key_valid, batch, length)
+            if not cache.weights:
+                cache.weights = [self.fold_adapters(layer, use_lora)
+                                 for layer in self.layers]
         if key_valid is not None:
             allowed = allowed & (np.asarray(key_valid) > 0)[:, None, None, :]
 
@@ -121,13 +142,16 @@ class ToyDecoder:
             return transpose(reshape(t, (batch, length, n_heads, dh)),
                              (0, 2, 1, 3))
 
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             a = layer_norm(x, *layer["ln1"])
-            wq = layer["lora_q"].apply(layer["wq"]) if use_lora else layer["wq"]
-            wv = layer["lora_v"].apply(layer["wv"]) if use_lora else layer["wv"]
-            ctx = attention(split_heads(matmul(a, wq)),
-                            split_heads(matmul(a, layer["wk"])),
-                            split_heads(matmul(a, wv)), allowed)
+            wq, wv = (self.fold_adapters(layer, use_lora) if cache is None
+                      else cache.weights[i])
+            q = split_heads(matmul(a, wq))
+            k = split_heads(matmul(a, layer["wk"]))
+            v = split_heads(matmul(a, wv))
+            if cache is not None:
+                k, v = cache.extend_layer(i, k, v)
+            ctx = attention(q, k, v, allowed)
             ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, length, d))
             x = add(x, matmul(ctx, layer["wo"]))
 
@@ -137,6 +161,39 @@ class ToyDecoder:
             x = add(x, ffn)
 
         return matmul(layer_norm(x, *self.ln_f), self.head)
+
+
+@dataclass
+class DecodeCache:
+    """What one incremental decode keeps between `ToyDecoder.forward` calls.
+
+    Start it empty; the decoder fills it on each call."""
+    weights: list = field(default_factory=list)  # per layer (wq, wv), folded
+    keys: list = field(default_factory=list)     # per layer [B, H, S, dh]
+    values: list = field(default_factory=list)   # per layer [B, H, S, dh]
+    key_valid: np.ndarray = None                 # [B, S] validity so far
+
+    @property
+    def length(self) -> int:
+        return 0 if self.key_valid is None else self.key_valid.shape[1]
+
+    def extend_valid(self, key_valid, batch: int, length: int) -> np.ndarray:
+        """Append the new positions' validity (all valid when None)."""
+        new = (np.ones((batch, length)) if key_valid is None
+               else np.asarray(key_valid))
+        self.key_valid = (new if self.key_valid is None
+                          else np.concatenate([self.key_valid, new], axis=1))
+        return self.key_valid
+
+    def extend_layer(self, i: int, k: Tensor, v: Tensor):
+        """Append layer i's new keys and values; returns all of them."""
+        if i == len(self.keys):
+            self.keys.append(k)
+            self.values.append(v)
+        else:
+            self.keys[i] = concat([self.keys[i], k], axis=2)
+            self.values[i] = concat([self.values[i], v], axis=2)
+        return self.keys[i], self.values[i]
 
 
 def ce_loss(logits: Tensor, labels: np.ndarray, loss_mask: np.ndarray) -> Tensor:
@@ -186,4 +243,4 @@ def build_sequence(cfg: Config, decoder: ToyDecoder, audio_prefix: Tensor,
         np.full((batch, n_max), 2, dtype=np.int64)], axis=1)
     return SequenceBatch(hidden=hidden, key_valid=key_valid, labels=labels,
                          loss_mask=loss_mask, segments=segments,
-                         audio_len=l_audio, prompt_len=p_len)
+                         audio_len=l_audio)

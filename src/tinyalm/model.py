@@ -13,7 +13,7 @@ from .autodiff import Tensor, add, concat, embedding_lookup, linear, mul
 from .config import Config
 from .data import Record
 from .encoders import EncoderBank, FusedFeatures
-from .lm import SequenceBatch, ToyDecoder, build_sequence, ce_loss
+from .lm import DecodeCache, SequenceBatch, ToyDecoder, build_sequence, ce_loss
 from .params import ParamStore, seeded_rng
 from .qformer import InputProjection, QueryFeatures, WindowQFormer
 from .saclm import Saclm, SaclmOutput
@@ -77,19 +77,13 @@ class Model:
     def trainable_count(self) -> int:
         return self.store.trainable_count()
 
-    def audio_len_bound(self) -> int:
-        """Largest audio-prefix length the data spec can produce.
-
-        The decoder uses absolute positions, so the audio segment is padded
-        to this bound (pad slots key-masked): prompt and text tokens then sit
-        at the same positions in every batch and during greedy decoding.
-        """
-        return self.cfg.audio_len_bound()
-
     def pad_audio(self, audio_prefix: Tensor, audio_valid: np.ndarray):
-        """Right-pad the audio segment to the fixed positional bound."""
+        """Right-pad the audio segment to `cfg.audio_len_bound()`, the longest
+        prefix the data spec can produce, with pad slots key-masked. The
+        decoder's positions are absolute, so prompt and text tokens then sit
+        at the same positions in every batch and in every decoding step."""
         b, l, d = audio_prefix.shape
-        bound = max(self.audio_len_bound(), l)
+        bound = max(self.cfg.audio_len_bound(), l)
         if l < bound:
             pad = Tensor(np.zeros((b, bound - l, d), dtype=self.cfg.np_dtype))
             audio_prefix = concat([audio_prefix, pad], axis=1)
@@ -150,24 +144,28 @@ class Model:
                           phi=phi)
 
     def greedy_decode(self, record: Record, max_new: int = None) -> list:
-        """Argmax decoding of one example; ties resolve to the lowest id."""
+        """Argmax decoding of one example; ties resolve to the lowest id.
+
+        One decoder call reads [audio prefix; prompt; BOS] into a key/value
+        cache, then each further call feeds only the token just emitted."""
         cfg = self.cfg
         if max_new is None:
             max_new = cfg.max_tokens + 2
         *_, audio_prefix, audio_valid, prompt_vecs = self.front_end([record])
 
+        cache = DecodeCache()
+        bos = self.decoder.embed_tokens(np.array([[cfg.bos_id]]))
+        hidden = concat([audio_prefix, prompt_vecs, bos], axis=1)
+        key_valid = np.concatenate(
+            [audio_valid, np.ones((1, prompt_vecs.shape[1] + 1),
+                                  dtype=cfg.np_dtype)], axis=1)
         out = []
-        tokens = [cfg.bos_id]
-        for _ in range(max_new):
-            text = self.decoder.embed_tokens(np.array([tokens]))
-            hidden = concat([audio_prefix, prompt_vecs, text], axis=1)
-            key_valid = np.concatenate(
-                [audio_valid, np.ones((1, prompt_vecs.shape[1] + len(tokens)),
-                                      dtype=cfg.np_dtype)], axis=1)
-            logits = self.decoder.forward(hidden, key_valid)
-            nxt = int(np.argmax(logits.data[0, -1]))
-            out.append(nxt)
-            if nxt == cfg.eos_id:
+        for step in range(max_new):
+            if step:
+                hidden = self.decoder.embed_tokens(np.array([out[-1:]]))
+                key_valid = None
+            logits = self.decoder.forward(hidden, key_valid, cache=cache)
+            out.append(int(np.argmax(logits.data[0, -1])))
+            if out[-1] == cfg.eos_id:
                 break
-            tokens.append(nxt)
         return out

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tinyalm.autodiff import Tape, Tensor, mul, sum_
+from tinyalm.autodiff import ShapeError, Tape, Tensor, mul, sum_
 from tinyalm.config import Config, ConfigError
 from tinyalm.gradcheck import grad_check
-from tinyalm.lm import ToyDecoder, build_sequence, ce_loss
+from tinyalm.lm import DecodeCache, ToyDecoder, build_sequence, ce_loss
 from tinyalm.params import ParamStore, seeded_rng
 
 
@@ -111,6 +111,45 @@ def test_overlength_rejected():
     h = embed_random(dec, 1, 17, seed=6)
     with pytest.raises(ValueError, match="exceeds"):
         dec.forward(h)
+
+
+@pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_cache_matches_full_forward(dtype, tol):
+    """[prefix; prompt; BOS] in one cached call, then one token per call,
+    against one uncached forward over the whole sequence: to 1e-12 in
+    float64, and in float32 to 1e-5 of the largest logit."""
+    cfg, _, dec = make_lm(dtype=dtype)
+    rng = seeded_rng(30)
+    for layer in dec.layers:
+        for ad in (layer["lora_q"], layer["lora_v"]):
+            ad.a.data[...] = rng.standard_normal(ad.a.shape) * 0.3
+            ad.b.data[...] = rng.standard_normal(ad.b.shape) * 0.3
+    batch, first, n_tokens = 2, 10, 6   # audio 6 + prompt 3 + BOS, then tokens
+    h = Tensor(rng.standard_normal((batch, first + n_tokens, cfg.d_model))
+               .astype(cfg.np_dtype))
+    key_valid = np.ones((batch, first + n_tokens), dtype=cfg.np_dtype)
+    key_valid[0, 4:6] = 0.0   # audio pad slots
+    key_valid[1, 2] = 0.0
+    full = dec.forward(h, key_valid).data
+
+    cache = DecodeCache()
+    steps = [dec.forward(Tensor(h.data[:, :first]), key_valid[:, :first],
+                         cache=cache).data]
+    for t in range(first, first + n_tokens):
+        steps.append(dec.forward(Tensor(h.data[:, t:t + 1]), cache=cache).data)
+    assert cache.length == first + n_tokens
+    scale = 1.0 if dtype == "float64" else np.abs(full).max()
+    assert np.abs(np.concatenate(steps, axis=1) - full).max() <= tol * scale
+
+
+def test_cached_overlength_rejected():
+    _, _, dec = make_lm(max_seq=16, max_tokens=7)
+    cache = DecodeCache()
+    dec.forward(embed_random(dec, 1, 15, seed=6), cache=cache)
+    dec.forward(embed_random(dec, 1, 1, seed=7), cache=cache)   # 16 fits
+    with pytest.raises(ShapeError, match="exceeds"):
+        dec.forward(embed_random(dec, 1, 1, seed=8), cache=cache)
+    assert cache.length == 16
 
 
 def test_ce_uniform_logits_is_log_vocab():

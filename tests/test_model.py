@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 
-from tinyalm.autodiff import Tape
+from tinyalm.autodiff import Tape, concat
 from tinyalm.config import Config
 from tinyalm.data import gen_dataset
 from tinyalm.model import Model, trainable_param_formula
@@ -83,7 +83,7 @@ def test_zero_encoder_changes_only_its_block():
 
 def test_audio_prefix_is_position_stable():
     cfg, model, recs = make()
-    bound = model.audio_len_bound()
+    bound = cfg.audio_len_bound()
     out_all = model.forward_batch(recs[:8], seeded_rng(0))
     out_two = model.forward_batch(recs[:2], seeded_rng(0))
     assert out_all.seq.audio_len == bound
@@ -94,7 +94,7 @@ def test_audio_len_bound_default_geometry():
     cfg, model, _ = make()
     # max 8 tokens * 4 frames = 32 signal + round(32*0.3/0.7)=14 noise = 46
     # frames; ceil(46/8) = 6 windows, one query each
-    assert model.audio_len_bound() == 6
+    assert cfg.audio_len_bound() == 6
 
 
 def test_greedy_decode_shape_and_golden():
@@ -107,6 +107,42 @@ def test_greedy_decode_shape_and_golden():
     assert out == again
     _, model2, recs2 = make()
     assert model2.greedy_decode(recs2[0]) == out
+
+
+def full_recompute_decode(model, record):
+    """Reference greedy loop: the whole sequence through the uncached
+    decoder for every emitted token."""
+    cfg = model.cfg
+    *_, audio_prefix, audio_valid, prompt_vecs = model.front_end([record])
+    out, tokens = [], [cfg.bos_id]
+    for _ in range(cfg.max_tokens + 2):
+        text = model.decoder.embed_tokens(np.array([tokens]))
+        hidden = concat([audio_prefix, prompt_vecs, text], axis=1)
+        key_valid = np.concatenate(
+            [audio_valid, np.ones((1, prompt_vecs.shape[1] + len(tokens)),
+                                  dtype=cfg.np_dtype)], axis=1)
+        nxt = int(np.argmax(model.decoder.forward(hidden, key_valid).data[0, -1]))
+        out.append(nxt)
+        if nxt == cfg.eos_id:
+            break
+        tokens.append(nxt)
+    return out
+
+
+def test_cached_greedy_decode_matches_full_recompute():
+    cfg = Config()
+    model = Model(cfg)
+    recs = gen_dataset(cfg, 3, 128)
+    for rec in recs[:64]:
+        assert model.greedy_decode(rec) == full_recompute_decode(model, rec)
+    # untrained adapters have b = 0, under which a decode that skipped the
+    # fold would agree; random nonzero b makes the fold count
+    rng = seeded_rng(31)
+    for layer in model.decoder.layers:
+        for ad in (layer["lora_q"], layer["lora_v"]):
+            ad.b.data[...] = rng.standard_normal(ad.b.shape) * 0.2
+    for rec in recs[64:]:
+        assert model.greedy_decode(rec) == full_recompute_decode(model, rec)
 
 
 def test_gradients_reach_all_trainable_groups():

@@ -137,6 +137,29 @@ def test_sqrt_rejects_negative():
         ad.sqrt(Tensor(np.array([1.0, -1e-12])))
 
 
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axis", [None, 0, 2, -1, -2, (0, 2), (-1, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mean_bit_identical_to_numpy_mean(dtype, axis, keepdims):
+    x = seeded_rng(40).standard_normal((5, 7, 9)).astype(dtype) * 10.0
+    with Tape() as tape:
+        out = ad.mean(Tensor(x, requires_grad=True), axis=axis, keepdims=keepdims)
+    want = np.asarray(np.mean(x, axis=axis, keepdims=keepdims))
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
+
+    # backward equals the spread gradient divided by the count as np.int64
+    axes = range(x.ndim) if axis is None else np.atleast_1d(axis)
+    n = np.int64(np.prod([x.shape[ax] for ax in axes]))
+    g = seeded_rng(41).standard_normal(want.shape).astype(dtype)
+    spread = np.broadcast_to(
+        g if keepdims or axis is None else np.expand_dims(g, axis), x.shape)
+    (_, _, _, backward), = tape.nodes
+    got, = backward(g)
+    assert got.dtype == x.dtype
+    assert got.tobytes() == (spread / n).astype(dtype).tobytes()
+
+
 def test_concat_extent_mismatch():
     with pytest.raises(ShapeError):
         ad.concat([rand_t(2, 3), rand_t(2, 4)], axis=0)
