@@ -123,10 +123,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        """Constant view of the same buffer (drops graph membership)."""
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag})"
@@ -260,7 +256,8 @@ def sqrt(a):
     na = _tracked(a)
 
     def backward(g):
-        return (g / (2.0 * r) if na else None,)
+        # 0 where the output is 0 and the derivative unbounded: g / inf
+        return (g / (2.0 * np.where(r > 0, r, np.inf)) if na else None,)
 
     _maybe_record("sqrt", (a,), out, backward)
     return out
@@ -475,7 +472,9 @@ def log_softmax(a, axis=-1):
 # ---------------------------------------------------------------------------
 
 def cosine_distance(a, b, eps: float = 1e-8):
-    """1 - cos(a, b) along the last axis, with an epsilon-guarded denominator."""
+    """1 - cos(a, b) along the last axis, with an epsilon-guarded denominator.
+    At an all-zero row of a, a's gradient is -b/eps, the exact derivative of
+    the guarded expression there (sqrt passes back 0 at 0); likewise for b."""
     a, b = _as_tensor(a), _as_tensor(b)
     dot = sum_(mul(a, b), axis=-1)
     na = sqrt(sum_(mul(a, a), axis=-1))

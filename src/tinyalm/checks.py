@@ -87,6 +87,9 @@ def _op_outputs(rng):
         {"a": t(2, 3, 4), "b": t(2, 1, 4)}
     # an integer-array key that repeats row 2: its gradient accumulates twice
     yield "slice_repeated", lambda p: ad.slice_(p["a"], (np.array([2, 0, 2]),)), {"a": t(3, 4)}
+    # a's row 1 is zero, its gradient -b/eps; at eps 1 the FD step stays inside the guard
+    yield "cosine_zero_row", lambda p: ad.cosine_distance(p["a"], p["b"], eps=1.0), \
+        {"a": _t(rng, 3, 6, scale=np.array([[1.0], [0.0], [1.0]])), "b": t(3, 6)}
 
 
 def _op_cases(rng):

@@ -21,7 +21,7 @@ from .config import (ABLATIONS, TASKS, ConfigError, dump_config, load_config,
                      parse_config, save_config)
 from .data import (DataFormatError, file_digest, gen_dataset, load_dataset,
                    save_dataset, write_jsonl)
-from .model import Model, trainable_param_formula
+from .model import Model
 from .optim import AdamW
 from .train import TrainAbort, eval_batches, evaluate, format_metrics, run_training
 
@@ -48,10 +48,7 @@ def _cmd_train(args) -> int:
     model = Model(cfg)
     opt = AdamW(model.store, cfg)
 
-    n_train = model.trainable_count()
-    fused_dim = cfg.enc1_dim + cfg.enc2_dim + cfg.enc3_dim
-    assert n_train == trainable_param_formula(cfg, fused_dim)
-    print(f"trainable parameters: {n_train}")
+    print(f"trainable parameters: {model.trainable_count()}")
 
     start = 0
     if args.resume:

@@ -94,6 +94,7 @@ def grad_check(f, params, eps: float = 1e-4, tol: float = 1e-4,
             flat[i] = keep
             g_fd = (f_plus - f_minus) / (2.0 * eps)
             rel = abs(g_ad[i] - g_fd) / max(abs(g_ad[i]), abs(g_fd), floor)
+            rel = rel if np.isfinite(rel) else np.inf  # NaN passes any "> tol"
             if rel > worst_here:
                 worst_here = rel
             if rel > report.max_rel_err:

@@ -36,12 +36,12 @@ class LoraAdapter:
 
 @dataclass
 class SequenceBatch:
-    """Decoder input assembled as [audio prefix; prompt; shifted targets]."""
+    """Decoder input [audio prefix; prompt; shifted targets]. Labels and loss
+    mask cover the text segment only, the rows the training logits cover."""
     hidden: Tensor           # [B, L, d_model] embedded input
     key_valid: np.ndarray    # [B, L] 1.0 where the position is a real key
-    labels: np.ndarray       # [B, L] next-token ids, -1 outside the text loss
-    loss_mask: np.ndarray    # [B, L] 1.0 exactly at supervised positions
-    segments: np.ndarray     # [B, L] 0 audio, 1 prompt, 2 text
+    labels: np.ndarray       # [B, n_text] next-token ids, -1 at text pads
+    loss_mask: np.ndarray    # [B, n_text] 1.0 exactly at supervised positions
     audio_len: int
 
 
@@ -104,11 +104,14 @@ class ToyDecoder:
         return layer["lora_q"].apply(layer["wq"]), layer["lora_v"].apply(layer["wv"])
 
     def forward(self, h: Tensor, key_valid=None, use_lora: bool = True,
-                cache: DecodeCache = None):
+                cache: DecodeCache = None, keep: int = None):
         """h: [B, L, d_model] embedded inputs (position added here).
 
-        Returns logits [B, L, vocab]. Causal: position t sees keys <= t.
-        key_valid masks pad/inert positions out of every attention row.
+        Returns logits [B, keep or L, vocab]. Causal: position t sees keys
+        <= t. key_valid masks pad/inert positions out of every attention row.
+        With `keep` below L, the last layer's keys and values still cover
+        all L positions, but its queries, FFN, final norm and head run only
+        at the last `keep`, the rows whose logits are returned.
 
         With a cache, h holds only the positions after the `cache.length`
         already seen: they take absolute positions start..start+L-1, attend
@@ -139,20 +142,24 @@ class ToyDecoder:
             allowed = allowed & (np.asarray(key_valid) > 0)[:, None, None, :]
 
         def split_heads(t):
-            return transpose(reshape(t, (batch, length, n_heads, dh)),
-                             (0, 2, 1, 3))
+            return transpose(reshape(t, (batch, -1, n_heads, dh)), (0, 2, 1, 3))
 
         for i, layer in enumerate(self.layers):
-            a = layer_norm(x, *layer["ln1"])
+            a = a_kv = layer_norm(x, *layer["ln1"])
             wq, wv = (self.fold_adapters(layer, use_lora) if cache is None
                       else cache.weights[i])
+            if i == len(self.layers) - 1 and keep is not None and keep < length:
+                # sliced before q's matmul: a's gradient still sums (v + k) + q
+                rows = (slice(None), slice(length - keep, None))
+                a, x = slice_(a, rows), slice_(x, rows)
+                allowed = allowed[..., length - keep:, :]
             q = split_heads(matmul(a, wq))
-            k = split_heads(matmul(a, layer["wk"]))
-            v = split_heads(matmul(a, wv))
+            k = split_heads(matmul(a_kv, layer["wk"]))
+            v = split_heads(matmul(a_kv, wv))
             if cache is not None:
                 k, v = cache.extend_layer(i, k, v)
             ctx = attention(q, k, v, allowed)
-            ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, length, d))
+            ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, -1, d))
             x = add(x, matmul(ctx, layer["wo"]))
 
             f = layer_norm(x, *layer["ln2"])
@@ -222,25 +229,17 @@ def build_sequence(cfg: Config, decoder: ToyDecoder, audio_prefix: Tensor,
     dt = cfg.np_dtype
 
     text_in = np.full((batch, n_max), cfg.pad_id, dtype=np.int64)
-    labels = np.full((batch, l_audio + p_len + n_max), -1, dtype=np.int64)
-    loss_mask = np.zeros((batch, l_audio + p_len + n_max), dtype=dt)
+    labels = np.full((batch, n_max), -1, dtype=np.int64)
     key_valid = np.ones((batch, l_audio + p_len + n_max), dtype=dt)
     key_valid[:, :l_audio] = np.asarray(audio_valid, dtype=dt)
-    start = l_audio + p_len
     for bi, tgt in enumerate(targets):
         n = len(tgt)
         text_in[bi, 0] = cfg.bos_id
         text_in[bi, 1:n] = tgt[:-1]
-        labels[bi, start:start + n] = tgt
-        loss_mask[bi, start:start + n] = 1.0
-        key_valid[bi, start + n:] = 0.0
+        labels[bi, :n] = tgt
+        key_valid[bi, l_audio + p_len + n:] = 0.0
 
     text_embed = decoder.embed_tokens(text_in)
     hidden = concat([audio_prefix, prompt_vecs, text_embed], axis=1)
-    segments = np.concatenate([
-        np.zeros((batch, l_audio), dtype=np.int64),
-        np.ones((batch, p_len), dtype=np.int64),
-        np.full((batch, n_max), 2, dtype=np.int64)], axis=1)
     return SequenceBatch(hidden=hidden, key_valid=key_valid, labels=labels,
-                         loss_mask=loss_mask, segments=segments,
-                         audio_len=l_audio)
+                         loss_mask=(labels >= 0).astype(dt), audio_len=l_audio)

@@ -124,7 +124,7 @@ class Model:
         targets = [list(map(int, r.targets)) for r in records]
         seq = build_sequence(cfg, self.decoder, audio_prefix, audio_valid,
                              prompt_vecs, targets)
-        logits = self.decoder.forward(seq.hidden, seq.key_valid)
+        logits = self.decoder.forward(seq.hidden, seq.key_valid, keep=seq.labels.shape[1])
         l_ce = ce_loss(logits, seq.labels, seq.loss_mask)
 
         sac = None
@@ -164,7 +164,7 @@ class Model:
             if step:
                 hidden = self.decoder.embed_tokens(np.array([out[-1:]]))
                 key_valid = None
-            logits = self.decoder.forward(hidden, key_valid, cache=cache)
+            logits = self.decoder.forward(hidden, key_valid, cache=cache, keep=1)
             out.append(int(np.argmax(logits.data[0, -1])))
             if out[-1] == cfg.eos_id:
                 break

@@ -52,10 +52,23 @@ def test_detects_a_wrong_gradient():
         # forward is sigmoid(x)^2, but the detached factor hides half the
         # gradient from the tape
         y = ad.sigmoid(x)
-        return ad.sum_(ad.mul(y, y.detach()))
+        return ad.sum_(ad.mul(y, Tensor(y.data)))
 
     report = grad_check(objective, {"x": x})
     assert not report.passed
+
+
+def test_nan_tape_gradient_fails():
+    # a NaN gradient must fail the check, not slip past every comparison
+    x = Tensor(np.array([0.5, 1.0]), requires_grad=True)
+
+    def objective():
+        out = Tensor(x.data * 2.0)
+        ad._maybe_record("nan_grad", (x,), out, lambda g: (g * np.nan,))
+        return ad.sum_(out)
+
+    report = grad_check(objective, {"x": x})
+    assert not report.passed and report.max_rel_err == np.inf
 
 
 def test_op_sweep_covers_every_primitive():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tinyalm.autodiff import ShapeError, Tape, Tensor, mul, sum_
+from tinyalm.autodiff import ShapeError, Tape, Tensor, mul, slice_, sum_
 from tinyalm.config import Config, ConfigError
 from tinyalm.gradcheck import grad_check
 from tinyalm.lm import DecodeCache, ToyDecoder, build_sequence, ce_loss
@@ -18,6 +18,27 @@ def embed_random(dec, b, l, seed=0):
     rng = seeded_rng(seed)
     ids = rng.integers(0, dec.cfg.vocab_symbols, size=(b, l))
     return dec.embed_tokens(ids)
+
+
+def randomize_adapters(dec, seed):
+    """Random nonzero LoRA A and B on every layer; returns the generator for
+    further draws."""
+    rng = seeded_rng(seed)
+    for layer in dec.layers:
+        for ad in (layer["lora_q"], layer["lora_v"]):
+            ad.a.data[...] = rng.standard_normal(ad.a.shape) * 0.3
+            ad.b.data[...] = rng.standard_normal(ad.b.shape) * 0.3
+    return rng
+
+
+def random_inputs(cfg, rng, batch, length):
+    """Random hidden inputs, with pad keys in both rows' prefixes."""
+    h = Tensor(rng.standard_normal((batch, length, cfg.d_model))
+               .astype(cfg.np_dtype))
+    key_valid = np.ones((batch, length), dtype=cfg.np_dtype)
+    key_valid[0, 4:6] = 0.0   # audio pad slots
+    key_valid[1, 2] = 0.0
+    return h, key_valid
 
 
 def test_rank_must_be_below_width():
@@ -119,17 +140,9 @@ def test_cache_matches_full_forward(dtype, tol):
     against one uncached forward over the whole sequence: to 1e-12 in
     float64, and in float32 to 1e-5 of the largest logit."""
     cfg, _, dec = make_lm(dtype=dtype)
-    rng = seeded_rng(30)
-    for layer in dec.layers:
-        for ad in (layer["lora_q"], layer["lora_v"]):
-            ad.a.data[...] = rng.standard_normal(ad.a.shape) * 0.3
-            ad.b.data[...] = rng.standard_normal(ad.b.shape) * 0.3
+    rng = randomize_adapters(dec, 30)
     batch, first, n_tokens = 2, 10, 6   # audio 6 + prompt 3 + BOS, then tokens
-    h = Tensor(rng.standard_normal((batch, first + n_tokens, cfg.d_model))
-               .astype(cfg.np_dtype))
-    key_valid = np.ones((batch, first + n_tokens), dtype=cfg.np_dtype)
-    key_valid[0, 4:6] = 0.0   # audio pad slots
-    key_valid[1, 2] = 0.0
+    h, key_valid = random_inputs(cfg, rng, batch, first + n_tokens)
     full = dec.forward(h, key_valid).data
 
     cache = DecodeCache()
@@ -140,6 +153,62 @@ def test_cache_matches_full_forward(dtype, tol):
     assert cache.length == first + n_tokens
     scale = 1.0 if dtype == "float64" else np.abs(full).max()
     assert np.abs(np.concatenate(steps, axis=1) - full).max() <= tol * scale
+
+
+@pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_keep_matches_last_rows_of_full_forward(dtype, tol):
+    """forward(keep=n) against the last n rows of one full forward: uncached,
+    and as a cached first call with keep=1 whose cache then serves the next
+    token. To 1e-12 in float64, and in float32 to 1e-5 of the largest logit.
+    keep >= L is the full forward itself."""
+    cfg, _, dec = make_lm(dtype=dtype)
+    rng = randomize_adapters(dec, 31)
+    batch, length = 2, 10
+    h, key_valid = random_inputs(cfg, rng, batch, length + 1)
+    full = dec.forward(h, key_valid).data
+    scale = 1.0 if dtype == "float64" else np.abs(full).max()
+    first = Tensor(h.data[:, :length])
+    upto = dec.forward(first, key_valid[:, :length]).data
+    for n in (1, 3, length - 1):
+        kept = dec.forward(first, key_valid[:, :length], keep=n).data
+        assert kept.shape == (batch, n, cfg.vocab_total)
+        assert np.abs(kept - upto[:, -n:]).max() <= tol * scale
+    for n in (length, length + 4):
+        np.testing.assert_array_equal(
+            dec.forward(first, key_valid[:, :length], keep=n).data, upto)
+
+    cache = DecodeCache()
+    steps = [dec.forward(first, key_valid[:, :length], cache=cache, keep=1).data,
+             dec.forward(Tensor(h.data[:, length:]), cache=cache, keep=1).data]
+    assert all(step.shape == (batch, 1, cfg.vocab_total) for step in steps)
+    assert np.abs(np.concatenate(steps, axis=1) - full[:, -2:]).max() <= tol * scale
+
+
+def test_keep_gradients_match_full_forward():
+    """Under a loss on the last n rows, the tape gradient of every trainable
+    and of the input equals the one through the full forward, to 1e-12."""
+    cfg, store, dec = make_lm(dtype="float64")
+    rng = randomize_adapters(dec, 32)
+    batch, length, n = 2, 10, 4
+    h, key_valid = random_inputs(cfg, rng, batch, length)
+    h.requires_grad = True
+    weight = Tensor(rng.standard_normal((batch, n, cfg.vocab_total)))
+
+    def grads(keep):
+        params = dict(store.trainable_items(), h=h)
+        for t in params.values():
+            t.grad = None
+        with Tape() as tape:
+            logits = dec.forward(h, key_valid, keep=keep)
+            if keep is None:
+                logits = slice_(logits, (slice(None), slice(length - n, None)))
+            tape.backward(sum_(mul(logits, weight)))
+        return {name: t.grad.copy() for name, t in params.items()}
+
+    full, kept = grads(None), grads(n)
+    assert len(full) == cfg.lm_layers * 4 + 1
+    for name, g in full.items():
+        assert np.abs(kept[name] - g).max() <= 1e-12 * max(1.0, np.abs(g).max()), name
 
 
 def test_cached_overlength_rejected():
@@ -241,13 +310,12 @@ def test_build_sequence_layout():
 
     assert seq.hidden.shape == (b, l_audio + p_len + 3, 64)
     start = l_audio + p_len
-    np.testing.assert_array_equal(seq.labels[0, start:], [4, 5, cfg.eos_id])
-    np.testing.assert_array_equal(seq.labels[1, start:], [9, cfg.eos_id, -1])
-    np.testing.assert_array_equal(seq.loss_mask[0, start:], [1, 1, 1])
-    np.testing.assert_array_equal(seq.loss_mask[1, start:], [1, 1, 0])
-    assert seq.loss_mask[:, :start].sum() == 0.0
-    np.testing.assert_array_equal(seq.segments[0],
-                                  [0, 0, 0, 1, 1, 2, 2, 2])
+    # [audio; prompt; text], with labels and loss mask over the text only
+    np.testing.assert_array_equal(seq.hidden.data[:, :l_audio], audio.data)
+    np.testing.assert_array_equal(seq.hidden.data[:, l_audio:start], prompts.data)
+    np.testing.assert_array_equal(seq.labels, [[4, 5, cfg.eos_id],
+                                               [9, cfg.eos_id, -1]])
+    np.testing.assert_array_equal(seq.loss_mask, [[1, 1, 1], [1, 1, 0]])
     # audio validity carried through; text pad key masked
     np.testing.assert_array_equal(seq.key_valid[1, :l_audio], [1, 1, 0])
     assert seq.key_valid[1, start + 2] == 0.0

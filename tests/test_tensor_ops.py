@@ -222,6 +222,19 @@ def test_cosine_distance_gradient():
                                rtol=1e-6, atol=1e-12)
 
 
+def test_cosine_distance_zero_row_gradient_is_minus_b_over_eps():
+    # at a = 0 the guarded expression is 1 - a.b / eps to first order: its
+    # gradient is -b / eps for a and 0 for b, finite where sqrt's own
+    # derivative is not
+    a = Tensor(np.zeros((2, 4)), requires_grad=True)
+    b = Tensor(np.ones((2, 4)), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.cosine_distance(a, b, eps=1e-8)))
+    assert np.all(np.isfinite(a.grad)) and np.all(np.isfinite(b.grad))
+    np.testing.assert_allclose(a.grad, -b.data / 1e-8, rtol=1e-12)
+    np.testing.assert_array_equal(b.grad, 0.0)
+
+
 # ------------------------------------------------------------- ste_threshold
 
 def test_ste_forward_inclusive_boundary():

@@ -1,0 +1,81 @@
+"""Digests of short training runs, to tell whether a change moves training bits.
+
+Trains perfbench's `train-default` workload for 60 steps and its
+`train-wide` workload for 15, each on seed-1 data (32 records) with the
+benchmark's batch order. For each it prints the last loss and a sha256
+(first 16 hex digits) of the per-step losses (float64), of the trained
+parameters plus the AdamW moments, of the greedy tokens of the first 16
+records, and of the logits at those records' supervised positions (after
+60 default steps every greedy decode is a lone EOS, so the tokens alone
+say little). Run it from the
+root of two checkouts, say a parent and a change, and compare the lines:
+
+    PYTHONPATH=src python3 tools/train_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+from workload import WORKLOADS  # noqa: E402
+
+from tinyalm.config import Config  # noqa: E402
+from tinyalm.data import gen_dataset  # noqa: E402
+from tinyalm.model import Model  # noqa: E402
+from tinyalm.optim import AdamW  # noqa: E402
+from tinyalm.train import batch_indices, train_step  # noqa: E402
+
+RUNS = (("train-default", 60), ("train-wide", 15))
+N_DECODED = 16
+
+
+def sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def digest(name: str, steps: int) -> list:
+    wl = WORKLOADS[name]
+    cfg = Config(**wl.config)
+    records = gen_dataset(cfg, 1, wl.n_records)
+    model = Model(cfg)
+    opt = AdamW(model.store, cfg)
+    losses = []
+    for i in range(steps):
+        batch = [records[j] for j in batch_indices(i, cfg.batch_size, len(records))]
+        losses.append(train_step(model, opt, batch, i)["L"])
+    state = []
+    for key, t in model.store.trainable_items():
+        state += [t.data, opt.m[key], opt.v[key]]
+    tokens = [model.greedy_decode(r) for r in records[:N_DECODED]]
+    logits = []
+    for lo in range(0, N_DECODED, cfg.batch_size):
+        out = model.forward_batch(records[lo:lo + cfg.batch_size], None,
+                                  compute_saclm=False)
+        logits.append(out.logits.data[out.seq.loss_mask > 0])
+    return [f"{name} steps {steps} last loss {losses[-1]:.9f}",
+            f"{name} losses sha256 {sha(np.array(losses, dtype=np.float64))}",
+            f"{name} weights+moments sha256 {sha(*state)}",
+            f"{name} greedy tokens sha256 "
+            f"{sha(np.array([t for row in tokens for t in row + [-1]]))}",
+            f"{name} supervised logits sha256 {sha(*logits)}"]
+
+
+def main() -> int:
+    for name, steps in RUNS:
+        print("\n".join(digest(name, steps)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
