@@ -23,10 +23,6 @@ class ShapeError(ValueError):
     """Operand shapes violate an op's shape rule."""
 
 
-class DomainError(ValueError):
-    """Input outside an op's mathematical domain (e.g. sqrt of x < 0)."""
-
-
 _TAPE: "Tape | None" = None
 
 # the dtypes a Tensor keeps; anything else is cast to float64
@@ -146,6 +142,8 @@ def _maybe_record(op, inputs, out, backward):
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -246,23 +244,6 @@ def sigmoid(a):
     return out
 
 
-def sqrt(a):
-    a = _as_tensor(a)
-    if np.any(a.data < 0):
-        raise DomainError("sqrt requires nonnegative input, got min "
-                          f"{a.data.min()}")
-    r = np.sqrt(a.data)
-    out = Tensor(r)
-    na = _tracked(a)
-
-    def backward(g):
-        # 0 where the output is 0 and the derivative unbounded: g / inf
-        return (g / (2.0 * np.where(r > 0, r, np.inf)) if na else None,)
-
-    _maybe_record("sqrt", (a,), out, backward)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -320,46 +301,71 @@ def mean(a, axis=None, keepdims=False):
 # linear algebra / structure
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
+def _matmul_operands(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    return a, b
+
+
+def _matmul_grads(g, a, b, na, nb):
+    """(d a, d b) of a @ b, None where not wanted. A rank-2 operand shared by
+    every batch entry of the other contracts the batch axes in one GEMM."""
+    ga = gb = None
+    if na:
+        if a.ndim == 2 and b.ndim > 2:
+            batch_and_n = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
+            ga = np.tensordot(g, b.data, axes=(batch_and_n, batch_and_n))
+        else:
+            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+    if nb:
+        if b.ndim == 2 and a.ndim > 2:
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+    return ga, gb
+
+
+def matmul(a, b):
+    a, b = _matmul_operands(a, b)
     out = Tensor(np.matmul(a.data, b.data))
     na, nb = _tracked(a), _tracked(b)
+    _maybe_record("matmul", (a, b), out, lambda g: _matmul_grads(g, a, b, na, nb))
+    return out
+
+
+def linear(x, w, b):
+    """x @ w + b in one node, bit for bit the matmul and add it replaces:
+    the add's gradient reaches b, then the matmul's reaches x and w."""
+    x, w = _matmul_operands(x, w)
+    b = _as_tensor(b, like=x)
+    y = np.matmul(x.data, w.data)
+    out = Tensor(y + b.data)
+    y_shape, nx, nw, nbias = y.shape, _tracked(x), _tracked(w), _tracked(b)
 
     def backward(g):
-        # A rank-2 operand is shared by every batch entry of the other: its
-        # gradient contracts the batch axes in one GEMM, with no per-entry
-        # stack to sum away.
-        ga = gb = None
-        if na:
-            if a.ndim == 2 and b.ndim > 2:
-                batch_and_n = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
-                ga = np.tensordot(g, b.data, axes=(batch_and_n, batch_and_n))
-            else:
-                ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
-        if nb:
-            if b.ndim == 2 and a.ndim > 2:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
-        return ga, gb
+        return (*_matmul_grads(_unbroadcast(g, y_shape), x, w, nx, nw),
+                _unbroadcast(g, b.data.shape) if nbias else None)
 
-    _maybe_record("matmul", (a, b), out, backward)
+    _maybe_record("linear", (x, w, b), out, backward)
     return out
 
 
 def transpose(a, axes=None):
     a = _as_tensor(a)
-    out = Tensor(np.transpose(a.data, axes))
+    out = Tensor(a.data.transpose(axes))
     na = _tracked(a)
-    inv = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        return (np.transpose(g, inv) if na else None,)
+        if not na:
+            return (None,)
+        if axes is None:
+            return (g.transpose(),)
+        n = len(axes)
+        return (g.transpose(sorted(range(n), key=lambda i: axes[i] % n)),)
 
     _maybe_record("transpose", (a,), out, backward)
     return out
@@ -472,14 +478,37 @@ def log_softmax(a, axis=-1):
 # ---------------------------------------------------------------------------
 
 def cosine_distance(a, b, eps: float = 1e-8):
-    """1 - cos(a, b) along the last axis, with an epsilon-guarded denominator.
-    At an all-zero row of a, a's gradient is -b/eps, the exact derivative of
-    the guarded expression there (sqrt passes back 0 at 0); likewise for b."""
+    """1 - sum(a * b) / (|a| |b| + eps) along the last axis in one node: the
+    composite's ops, and its backward replayed bit for bit, sending to (b, b,
+    a, a, a, b) in its order. At an all-zero row of a, a's gradient is -b/eps,
+    the guarded expression's exact derivative (sqrt passes back 0 at 0)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    dot = sum_(mul(a, b), axis=-1)
-    na = sqrt(sum_(mul(a, a), axis=-1))
-    nb = sqrt(sum_(mul(b, b), axis=-1))
-    return sub(1.0, div(dot, add(mul(na, nb), eps)))
+    ad, bd = a.data, b.data
+    ab = ad * bd
+    dot = ab.sum(axis=-1)
+    dt = dot.dtype
+    na, nb = np.sqrt((ad * ad).sum(axis=-1)), np.sqrt((bd * bd).sum(axis=-1))
+    den = na * nb + dt.type(eps)
+    out = Tensor(dt.type(1.0) - dot / den)
+    ab_shape, ta, tb = ab.shape, _tracked(a), _tracked(b)
+
+    def sum_grad(g, shape, dtype):  # sum's backward over the last axis
+        return np.broadcast_to(g[..., None], shape).astype(dtype, copy=False).copy()
+
+    def norm_grad(g, r, t):  # through sqrt (0 where r is 0), sum and t * t
+        return sum_grad(g / (2.0 * np.where(r > 0, r, np.inf)), t.shape, t.dtype) * t
+
+    def backward(g):
+        g = -g
+        g_den = -g * dot / (den * den)
+        gb = norm_grad(_unbroadcast(g_den * na, nb.shape), nb, bd) if tb else None
+        ga = norm_grad(_unbroadcast(g_den * nb, na.shape), na, ad) if ta else None
+        g_ab = sum_grad(g / den, ab_shape, dt)
+        return (gb, gb, ga, ga, _unbroadcast(g_ab * bd, ad.shape) if ta else None,
+                _unbroadcast(g_ab * ad, bd.shape) if tb else None)
+
+    _maybe_record("cosine_distance", (b, b, a, a, a, b), out, backward)
+    return out
 
 
 def ste_threshold(a, theta: float):
@@ -501,16 +530,44 @@ def ste_threshold(a, theta: float):
     return out
 
 
-# ---------------------------------------------------------------------------
-# composites used all over the model
-# ---------------------------------------------------------------------------
+def layer_norm(x, gain, bias, eps: float = 1e-5):
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis in one
+    node: the composite's ops, and its backward replayed bit for bit, sending
+    to (x, x, gain, bias) in its order."""
+    x = _as_tensor(x)
+    gain, bias = _as_tensor(gain, like=x), _as_tensor(bias, like=x)
+    xd, n = x.data, x.shape[-1]
+    mu = xd.sum(axis=-1, keepdims=True) / n
+    c = xd - mu
+    var = (c * c).sum(axis=-1, keepdims=True) / n
+    r = np.sqrt(var + var.dtype.type(eps))
+    inv = c / r
+    scaled = inv * gain.data
+    out = Tensor(scaled + bias.data)
+    scaled_shape, nx, ng, nbias = scaled.shape, _tracked(x), _tracked(gain), _tracked(bias)
 
-def linear(x, w, b=None):
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
+    def mean_grad(g):  # mean's backward over the last axis
+        return (np.broadcast_to(g, xd.shape) / n).astype(xd.dtype, copy=False)
+
+    def backward(g):
+        gb = _unbroadcast(g, bias.data.shape) if nbias else None
+        g = _unbroadcast(g, scaled_shape)
+        gg = _unbroadcast(g * inv, gain.data.shape) if ng else None
+        if not nx:
+            return None, None, gg, gb
+        g = _unbroadcast(g * gain.data, inv.shape)
+        g_r = _unbroadcast(-g * c / (r * r), r.shape)
+        g_cc = mean_grad(g_r / (2.0 * np.where(r > 0, r, np.inf))) * c
+        g_c = g / r + g_cc + g_cc  # c feeds the div, then c * c twice
+        return g_c, mean_grad(_unbroadcast(-g_c, mu.shape)), gg, gb
+
+    _maybe_record("layer_norm", (x, x, gain, bias), out, backward)
     return out
 
+
+# ---------------------------------------------------------------------------
+# composites
+# ---------------------------------------------------------------------------
 
 def attention(q, k, v, allowed=None):
     """softmax(q k^T / sqrt(d_k) + mask) v over the last two axes. Composite.
@@ -523,12 +580,3 @@ def attention(q, k, v, allowed=None):
         mask = np.where(allowed, 0.0, MASK_NEG).astype(scores.dtype)
         scores = add(scores, Tensor(mask))
     return matmul(softmax(scores, axis=-1), v)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5):
-    """Normalize the last axis, then scale and shift. Composite op."""
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(centered, sqrt(add(var, eps)))
-    return add(mul(inv, gain), bias)

@@ -7,6 +7,8 @@ moment estimates.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .config import Config
@@ -15,6 +17,8 @@ from .params import ParamStore
 # leaf names of biases and layer-norm gains; by name, not rank, because the
 # stacked expert biases are [E, 1, n] (and LoRA's "b" is a matrix)
 _EXEMPT_LEAVES = ("bias", "gain", "b1", "b2")
+
+_CHUNK = 1 << 14  # elements per pass of the update: small scratch buffers
 
 
 def lr_at(step: int, total: int, peak: float, warm_ratio: float) -> float:
@@ -34,40 +38,71 @@ class AdamW:
     """A trainable skips weight decay iff its leaf name (after the last ".")
     is one of `_EXEMPT_LEAVES` or it is `qformer.query`. A module that adds
     a bias or gain must name it so; any other name decays, whatever its
-    rank."""
+    rank.
+
+    From the first step on, the trainables are views into one flat store
+    buffer, decayed first; moments and gradient are flat alike (`m`, `v`,
+    `grads` map names to views), and the chunked in-place update keeps the
+    per-tensor formula's per-element operations in order, bit for bit."""
 
     def __init__(self, store: ParamStore, cfg: Config):
         self.store = store
         self.cfg = cfg
         self.step_count = 0
-        self.m = {}
-        self.v = {}
-        self.exempt = set()
-        for name, t in store.trainable_items():
-            self.m[name] = np.zeros_like(t.data)
-            self.v[name] = np.zeros_like(t.data)
-            if (name.rsplit(".", 1)[-1] in _EXEMPT_LEAVES
-                    or name == "qformer.query"):
-                self.exempt.add(name)
+        items = store.trainable_items()
+        self.exempt = {name for name, _ in items
+                       if name.rsplit(".", 1)[-1] in _EXEMPT_LEAVES
+                       or name == "qformer.query"}
+        decayed = [n for n, _ in items if n not in self.exempt]
+        self._order = decayed + [n for n, _ in items if n in self.exempt]
+        self.n_decay = sum(store[n].size for n in decayed)  # decay covers flat[:n_decay]
+        ends = list(itertools.accumulate(store[n].size for n in self._order))
+        self._segment = {n: slice(e - store[n].size, e) for n, e in zip(self._order, ends)}
+        # an optimizer that never steps (one built to write a checkpoint)
+        # never flattens the store; np.zeros can leave pages untouched
+        size, dtype = (ends[-1], items[0][1].dtype) if items else (0, np.float32)
+        self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
+        self.m, self.v = self._views(self._m), self._views(self._v)
+        self.grads = {}  # views of the flat gradient, from the first gather
+        self.flat = self._grad = self._scratch = None
 
-    def step(self, lr: float):
+    def _views(self, flat: np.ndarray) -> dict:
+        return {name: flat[self._segment[name]].reshape(p.shape)
+                for name, p in self.store.trainable_items()}
+
+    def gather(self) -> np.ndarray:
+        """Copy every trainable's .grad (zero where it is None) into the flat
+        gradient and return it. The first call flattens the store."""
+        if self._grad is None:
+            self.flat = self.store.flatten(self._order)
+            self._grad = np.empty_like(self.flat)
+            self._scratch = np.empty((2, min(_CHUNK, self.flat.size)), self.flat.dtype)
+            self.grads = self._views(self._grad)
+        for name, g in self.grads.items():
+            grad = self.store[name].grad
+            g[...] = 0 if grad is None else grad
+        return self._grad
+
+    def step(self, lr: float, grad: np.ndarray = None):
+        """One update from the flat gradient `grad`; gathered when None."""
+        if grad is None:
+            grad = self.gather()
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
-        for name, p in self.store.trainable_items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
+        for lo in range(0, self.flat.size, _CHUNK):
+            g, m, v, p = (a[lo:lo + _CHUNK] for a in (grad, self._m, self._v, self.flat))
+            tmp, update = self._scratch[:, :g.size]
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=tmp)
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-            if name not in self.exempt:
-                update = update + cfg.weight_decay * p.data
-            p.data -= lr * update
+            v += np.multiply(np.multiply(g, 1.0 - b2, out=tmp), g, out=tmp)
+            # update = (m / c1) / (sqrt(v / c2) + eps), + wd * p where decayed
+            np.add(np.sqrt(np.divide(v, c2, out=tmp), out=tmp), cfg.adam_eps, out=tmp)
+            np.divide(np.divide(m, c1, out=update), tmp, out=update)
+            k = min(max(self.n_decay - lo, 0), g.size)
+            update[:k] += np.multiply(p[:k], cfg.weight_decay, out=tmp[:k])
+            p -= np.multiply(update, lr, out=update)

@@ -13,6 +13,7 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._flat = ([], None)  # (names, buffer) of the last `flatten`
 
     def register(self, name: str, tensor: Tensor, trainable: bool = True) -> Tensor:
         if name in self._params:
@@ -35,6 +36,20 @@ class ParamStore:
 
     def trainable_count(self) -> int:
         return sum(p.size for _, p in self.trainable_items())
+
+    def flatten(self, names: list) -> np.ndarray:
+        """Move the named tensors, in order, into one flat buffer whose
+        segments become their data; the same names again get the same one."""
+        if self._flat[0] == names:
+            return self._flat[1]
+        tensors = [self._params[n] for n in names]
+        buf = np.concatenate([t.data.ravel() for t in tensors] or [np.empty(0)])
+        lo = 0
+        for t in tensors:
+            t.data = buf[lo:lo + t.size].reshape(t.shape)
+            lo += t.size
+        self._flat = (list(names), buf)
+        return buf
 
     def zero_grads(self):
         for p in self._params.values():

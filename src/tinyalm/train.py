@@ -34,14 +34,15 @@ def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
             raise TrainAbort(f"non-finite loss at step {step}; first bad "
                              f"tensor came from op {culprit!r}")
         tape.backward(out.loss)
-    for name, p in model.store.trainable_items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise TrainAbort(f"non-finite gradient for {name} at step {step}; "
-                             f"first op with a non-finite output: "
-                             f"{tape.first_nonfinite()!r}")
+    grad = opt.gather()
+    if not np.isfinite(grad).all():
+        name = next(n for n, g in opt.grads.items() if not np.isfinite(g).all())
+        raise TrainAbort(f"non-finite gradient for {name} at step {step}; "
+                         f"first op with a non-finite output: "
+                         f"{tape.first_nonfinite()!r}")
     # the optimizer's config owns the schedule
     lr = lr_at(step, opt.cfg.total_steps, opt.cfg.lr, opt.cfg.warmup_ratio)
-    opt.step(lr)
+    opt.step(lr, grad)
     row = {"step": step, "lr": lr, "L": float(out.loss.data),
            "L_CE": float(out.loss_ce.data)}
     if out.sac is not None:

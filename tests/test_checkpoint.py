@@ -43,6 +43,20 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p2.read_bytes() == first
 
 
+def test_load_keeps_the_optimizer_views(tmp_path):
+    cfg, model, opt, recs, path = make(tmp_path, steps=2)
+    save_checkpoint(path, model.store, opt, 2, dump_config(cfg))
+    fresh = Model(cfg)
+    o2 = AdamW(fresh.store, cfg)
+    run_training(fresh, o2, recs, stop_after=1)  # the first step flattens
+    load_checkpoint(path, fresh.store, o2)
+    for name, p in fresh.store.trainable_items():
+        assert np.shares_memory(p.data, o2.flat), name
+        assert np.array_equal(p.data, model.store[name].data), name
+        assert np.array_equal(o2.m[name], opt.m[name]), name
+    assert np.array_equal(o2.flat, opt.flat)
+
+
 def test_version_1_file_rejected(tmp_path):
     # version 1 stored twelve per-expert TAPM tensors; version 2 stores the
     # stacked bank, so an old file fails on its header, not on a name

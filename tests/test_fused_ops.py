@@ -1,0 +1,135 @@
+"""The one-node kernels `layer_norm`, `linear` and `cosine_distance` against
+the composites they replace, kept here as oracles: forward and every input
+gradient must agree bit for bit, in float32 and float64, for every subset of
+tracked inputs.
+
+Each tracked input also feeds a second op taped after the kernel, so its
+gradient already holds that op's share when the kernel's sends arrive; a
+kernel that sends its shares in another order than the composite rounds
+differently and fails here.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from tinyalm import autodiff as ad
+from tinyalm.autodiff import Tape, Tensor
+
+
+def sqrt(a):
+    """The square-root primitive the composites were built from."""
+    r = np.sqrt(a.data)
+    out = Tensor(r)
+    na = ad._tracked(a)
+
+    def backward(g):
+        # 0 where the output is 0 and the derivative unbounded: g / inf
+        return (g / (2.0 * np.where(r > 0, r, np.inf)) if na else None,)
+
+    ad._maybe_record("sqrt", (a,), out, backward)
+    return out
+
+
+def layer_norm_composite(x, gain, bias, eps=1e-5):
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.div(centered, sqrt(ad.add(var, eps)))
+    return ad.add(ad.mul(inv, gain), bias)
+
+
+def linear_composite(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def cosine_distance_composite(a, b, eps=1e-8):
+    dot = ad.sum_(ad.mul(a, b), axis=-1)
+    na = sqrt(ad.sum_(ad.mul(a, a), axis=-1))
+    nb = sqrt(ad.sum_(ad.mul(b, b), axis=-1))
+    return ad.sub(1.0, ad.div(dot, ad.add(ad.mul(na, nb), eps)))
+
+
+def _inputs(rng, shapes, zero_row=False):
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    if zero_row:
+        arrays[0][1] = 0.0
+    return arrays
+
+
+# name -> (fused op, composite, input shapes, zero first input's row 1)
+CASES = {
+    "layer_norm_query": (ad.layer_norm, layer_norm_composite,
+                         [(1, 32), (32,), (32,)], False),   # the Q-Former query
+    "layer_norm_batch": (ad.layer_norm, layer_norm_composite,
+                         [(3, 7, 64), (64,), (64,)], False),
+    "linear_query": (ad.linear, linear_composite,
+                     [(1, 32), (32, 16), (16,)], False),
+    "linear_batch": (ad.linear, linear_composite,
+                     [(3, 7, 64), (64, 24), (24,)], False),
+    "cosine_anchor_vs_pair": (ad.cosine_distance, cosine_distance_composite,
+                              [(4, 64), (2, 4, 64)], False),  # SACLM's triplet
+    "cosine_batch": (ad.cosine_distance, cosine_distance_composite,
+                     [(3, 7, 64), (3, 7, 64)], False),
+    "cosine_vector": (ad.cosine_distance, cosine_distance_composite,
+                      [(64,), (64,)], False),
+    "cosine_zero_row": (ad.cosine_distance, cosine_distance_composite,
+                        [(3, 64), (3, 64)], True),
+}
+
+
+def run(op, arrays, tracked, dtype):
+    """Forward, input gradients and node count of op on fresh tensors."""
+    rng = np.random.default_rng(5)
+    ts = [Tensor(a.astype(dtype), requires_grad=k) for a, k in zip(arrays, tracked)]
+    with Tape() as tape:
+        out = op(*ts)
+        n_nodes = len(tape.nodes)
+        weight = Tensor(rng.standard_normal(out.shape).astype(dtype))
+        loss = ad.sum_(ad.mul(out, weight))
+        for t in ts:
+            if t.requires_grad:  # a second consumer, replayed before the op
+                other = Tensor(rng.standard_normal(t.shape).astype(dtype))
+                loss = ad.add(loss, ad.sum_(ad.mul(t, other)))
+    tape.backward(loss)
+    return out.data, [t.grad for t in ts], n_nodes
+
+
+def same_bits(a, b):
+    """Equal arrays of one dtype, down to the sign of each zero."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_kernel_is_bit_identical_to_its_composite(case, dtype):
+    fused, composite, shapes, zero_row = CASES[case]
+    arrays = _inputs(np.random.default_rng(len(case)), shapes, zero_row)
+    for tracked in itertools.product((False, True), repeat=len(shapes)):
+        if not any(tracked):
+            continue
+        out, grads, n_nodes = run(fused, arrays, tracked, dtype)
+        want_out, want_grads, _ = run(composite, arrays, tracked, dtype)
+        assert n_nodes == 1
+        assert same_bits(out, want_out), (tracked, "forward")
+        for i, (g, want) in enumerate(zip(grads, want_grads)):
+            assert same_bits(g, want), (tracked, f"gradient of input {i}")
+
+
+@pytest.mark.parametrize("axes", [None, (1, 0, 2), (0, 2, 1, 3), (2, 0, 1),
+                                  (-1, 0, 1)])
+def test_transpose_backward_inverts_the_permutation(axes):
+    shape = (2, 3, 4, 5) if axes is not None and len(axes) == 4 else (2, 3, 4)
+    x = Tensor(np.random.default_rng(3).standard_normal(shape), requires_grad=True)
+    with Tape() as tape:
+        out = ad.transpose(x, axes)
+    g = np.random.default_rng(4).standard_normal(out.shape)
+    (_, _, _, backward), = tape.nodes
+    got, = backward(g)
+    assert got.shape == shape
+    np.testing.assert_array_equal(np.transpose(got, axes), g)

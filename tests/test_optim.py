@@ -115,3 +115,68 @@ def test_updates_stay_float32():
     opt.step(1e-3)
     assert p.data.dtype == np.float32
     assert opt.m["w"].dtype == np.float32
+
+
+def per_tensor_step(params, grads, m, v, exempt, cfg, t, lr):
+    """The update as a loop over tensors, one formula per tensor."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if g is None:
+            g = np.zeros_like(p)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        update = (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+        if name not in exempt:
+            update = update + cfg.weight_decay * p
+        p -= lr * update
+
+
+def test_flat_update_bit_identical_to_per_tensor_loop():
+    # decayed and exempt tensors interleaved in the store, one of them past
+    # a chunk boundary, and one trainable that never gets a gradient
+    cfg = Config(weight_decay=0.05)
+    rng = np.random.default_rng(0)
+    shapes = {"a.w": (130, 130), "a.bias": (130,), "qformer.query": (1, 8),
+              "b.w2": (9,), "c.gain": (8,), "c.w": (8, 3), "d.w": (4, 4)}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.register(name, Tensor(rng.standard_normal(shape).astype(np.float32)))
+    opt = AdamW(store, cfg)
+    assert opt.exempt == {"a.bias", "qformer.query", "c.gain"}
+    params = {n: t.data.copy() for n, t in store.trainable_items()}
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    for t in range(1, 6):
+        grads = {n: (None if n == "d.w" else
+                     rng.standard_normal(shapes[n]).astype(np.float32))
+                 for n in shapes}
+        for name, p in store.trainable_items():
+            p.grad = grads[name]
+        lr = 0.01 * t
+        opt.step(lr)
+        per_tensor_step(params, grads, m, v, opt.exempt, cfg, t, lr)
+    for name, p in store.trainable_items():
+        assert p.data.tobytes() == params[name].tobytes(), name
+        assert opt.m[name].tobytes() == m[name].tobytes(), name
+        assert opt.v[name].tobytes() == v[name].tobytes(), name
+
+
+def test_second_optimizer_keeps_the_first_ones_parameters():
+    model = Model(Config())
+    first = AdamW(model.store, model.cfg)
+    second = AdamW(model.store, model.cfg)
+    assert first.flat is None and first.grads == {}  # nothing before a step
+    for _, p in model.store.trainable_items():
+        p.grad = np.ones_like(p.data)
+    first.step(1e-3)
+    before = first.flat.copy()
+    second.step(1e-3)
+    assert second.flat is first.flat
+    assert not np.array_equal(first.flat, before)
+    for name, p in model.store.trainable_items():
+        assert np.shares_memory(p.data, first.flat), name

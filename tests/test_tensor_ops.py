@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tinyalm import autodiff as ad
-from tinyalm.autodiff import DomainError, ShapeError, Tape, Tensor
+from tinyalm.autodiff import ShapeError, Tape, Tensor
 from tinyalm.checks import OP_SEED, _op_cases
 from tinyalm.gradcheck import grad_check
 from tinyalm.params import seeded_rng
@@ -130,11 +130,6 @@ def test_log_softmax_matches_log_of_softmax():
 
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor(np.zeros(1))).data[0] == pytest.approx(0.5)
-
-
-def test_sqrt_rejects_negative():
-    with pytest.raises(DomainError):
-        ad.sqrt(Tensor(np.array([1.0, -1e-12])))
 
 
 @pytest.mark.parametrize("keepdims", [False, True])

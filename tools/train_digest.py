@@ -7,8 +7,10 @@ benchmark's batch order. For each it prints the last loss and a sha256
 parameters plus the AdamW moments, of the greedy tokens of the first 16
 records, and of the logits at those records' supervised positions (after
 60 default steps every greedy decode is a lone EOS, so the tokens alone
-say little). Run it from the
-root of two checkouts, say a parent and a change, and compare the lines:
+say little). A last line digests the `decode` workload: the untrained
+default model's greedy tokens of 64 records of the workload's seed-1 data,
+with the last-position logits of every decoder call they took. Run it from
+the root of two checkouts, say a parent and a change, and compare the lines:
 
     PYTHONPATH=src python3 tools/train_digest.py
 """
@@ -25,7 +27,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
-from workload import WORKLOADS  # noqa: E402
+from workload import DECODE_SEED_BASE, WORKLOADS  # noqa: E402
 
 from tinyalm.config import Config  # noqa: E402
 from tinyalm.data import gen_dataset  # noqa: E402
@@ -35,6 +37,7 @@ from tinyalm.train import batch_indices, train_step  # noqa: E402
 
 RUNS = (("train-default", 60), ("train-wide", 15))
 N_DECODED = 16
+N_DECODE_RECORDS = 64
 
 
 def sha(*arrays) -> str:
@@ -71,9 +74,28 @@ def digest(name: str, steps: int) -> list:
             f"{name} supervised logits sha256 {sha(*logits)}"]
 
 
+def decode_digest() -> str:
+    cfg = Config(**WORKLOADS["decode"].config)
+    records = gen_dataset(cfg, DECODE_SEED_BASE + 1, N_DECODE_RECORDS)
+    model = Model(cfg)
+    forward = model.decoder.forward
+    logits = []
+
+    def keep_logits(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        logits.append(out.data[:, -1])
+        return out
+
+    model.decoder.forward = keep_logits
+    tokens = [t for r in records for t in model.greedy_decode(r) + [-1]]
+    return (f"decode records {N_DECODE_RECORDS} tokens+logits sha256 "
+            f"{sha(np.array(tokens), *logits)}")
+
+
 def main() -> int:
     for name, steps in RUNS:
         print("\n".join(digest(name, steps)), flush=True)
+    print(decode_digest())
     return 0
 
 
