@@ -312,20 +312,21 @@ def _matmul_operands(a, b):
 
 
 def _matmul_grads(g, a, b, na, nb):
-    """(d a, d b) of a @ b, None where not wanted. A rank-2 operand shared by
-    every batch entry of the other contracts the batch axes in one GEMM."""
+    """(d a, d b) of the arrays' product a @ b, None where not wanted. A rank-2
+    operand shared by every batch entry of the other contracts the batch axes
+    in one GEMM."""
     ga = gb = None
     if na:
         if a.ndim == 2 and b.ndim > 2:
             batch_and_n = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
-            ga = np.tensordot(g, b.data, axes=(batch_and_n, batch_and_n))
+            ga = np.tensordot(g, b, axes=(batch_and_n, batch_and_n))
         else:
-            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+            ga = _unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a.shape)
     if nb:
         if b.ndim == 2 and a.ndim > 2:
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+            gb = _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b.shape)
     return ga, gb
 
 
@@ -333,7 +334,7 @@ def matmul(a, b):
     a, b = _matmul_operands(a, b)
     out = Tensor(np.matmul(a.data, b.data))
     na, nb = _tracked(a), _tracked(b)
-    _maybe_record("matmul", (a, b), out, lambda g: _matmul_grads(g, a, b, na, nb))
+    _maybe_record("matmul", (a, b), out, lambda g: _matmul_grads(g, a.data, b.data, na, nb))
     return out
 
 
@@ -347,7 +348,7 @@ def linear(x, w, b):
     y_shape, nx, nw, nbias = y.shape, _tracked(x), _tracked(w), _tracked(b)
 
     def backward(g):
-        return (*_matmul_grads(_unbroadcast(g, y_shape), x, w, nx, nw),
+        return (*_matmul_grads(_unbroadcast(g, y_shape), x.data, w.data, nx, nw),
                 _unbroadcast(g, b.data.shape) if nbias else None)
 
     _maybe_record("linear", (x, w, b), out, backward)
@@ -565,18 +566,42 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     return out
 
 
-# ---------------------------------------------------------------------------
-# composites
-# ---------------------------------------------------------------------------
-
-def attention(q, k, v, allowed=None):
-    """softmax(q k^T / sqrt(d_k) + mask) v over the last two axes. Composite.
+def attention(q, k, v, allowed=None, heads=1):
+    """softmax(q k^T / sqrt(d_k) + mask) v over the last two axes in one node.
 
     allowed: boolean array broadcastable to the scores; keys where it is
-    false get MASK_NEG, so their weight underflows to exactly 0."""
-    k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = mul(matmul(q, k_t), 1.0 / np.sqrt(k.shape[-1]))
+    false get MASK_NEG, so their weight underflows to exactly 0. With heads
+    > 1, q, k and v are [B, L, d]: each is split into heads of d / heads
+    columns, and the heads' outputs are merged back into [B, Lq, d]. The
+    composite's ops run in order, and its backward is replayed bit for bit,
+    sending to (v, q, k), or with heads (v, k, q), the order its nodes did."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    split = merge = lambda t: t
+    if heads > 1:  # the decoder's head views: [B, L, d] <-> [B, heads, L, d / heads]
+        split = lambda t: t.reshape(*t.shape[:2], heads, -1).transpose(0, 2, 1, 3)
+        merge = lambda t: t.transpose(0, 2, 1, 3).reshape(t.shape[0], t.shape[2], -1)
+    qd, kd, vd = split(q.data), split(k.data), split(v.data)
+    swap = tuple(range(kd.ndim - 2)) + (kd.ndim - 1, kd.ndim - 2)
+    kt = kd.transpose(swap)
+    m = np.matmul(qd, kt)
+    c = np.asarray(1.0 / np.sqrt(kd.shape[-1]), dtype=m.dtype)
+    x = m * c
     if allowed is not None:
-        mask = np.where(allowed, 0.0, MASK_NEG).astype(scores.dtype)
-        scores = add(scores, Tensor(mask))
-    return matmul(softmax(scores, axis=-1), v)
+        x = x + np.where(allowed, 0.0, MASK_NEG).astype(x.dtype)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(np.matmul(p, vd)))
+    tq, tk, tv = _tracked(q), _tracked(k), _tracked(v)
+
+    def backward(g):
+        gp, gv = _matmul_grads(split(g), p, vd, tq or tk, tv)
+        gq = gk = None
+        if tq or tk:
+            gx = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gq, gk = _matmul_grads(_unbroadcast(gx, m.shape) * c, qd, kt, tq, tk)
+            gk = gk.transpose(swap) if tk else None
+        gv, gq, gk = (None if t is None else merge(t) for t in (gv, gq, gk))
+        return (gv, gq, gk) if heads == 1 else (gv, gk, gq)
+
+    _maybe_record("attention", (v, q, k) if heads == 1 else (v, k, q), out, backward)
+    return out

@@ -91,6 +91,15 @@ def _op_outputs(rng):
     # a's row 1 is zero, its gradient -b/eps; at eps 1 the FD step stays inside the guard
     yield "cosine_zero_row", lambda p: ad.cosine_distance(p["a"], p["b"], eps=1.0), \
         {"a": _t(rng, 3, 6, scale=np.array([[1.0], [0.0], [1.0]])), "b": t(3, 6)}
+    # the decoder's call: 2 heads, a causal mask, and key 2 of example 0 masked
+    key_valid = np.arange(5) != np.array([[2], [5]])
+    causal = np.tri(3, 5, 2, dtype=bool) & key_valid[:, None, None, :]
+    yield "attention_heads", lambda p: ad.attention(p["q"], p["k"], p["v"], causal, heads=2), \
+        {"q": t(2, 3, 4), "k": t(2, 5, 4), "v": t(2, 5, 4)}
+    # the Q-Former's cross attention: one rank-2 q against batched windows
+    window = np.arange(5) < np.array([[5], [2], [3]])[:, None]
+    yield "attention_shared_q", lambda p: ad.attention(p["q"], p["k"], p["v"], window), \
+        {"q": t(2, 4), "k": t(3, 5, 4), "v": t(3, 5, 3)}
 
 
 def _op_cases(rng):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import (ShapeError, Tensor, add, attention, concat,
                        embedding_lookup, layer_norm, linear, log_softmax,
-                       matmul, mul, relu, reshape, slice_, sum_, transpose)
+                       matmul, mul, relu, slice_, sum_)
 from .config import Config, ConfigError
 from .params import ParamStore, seeded_rng
 
@@ -28,7 +28,8 @@ class LoraAdapter:
     b: Tensor  # [r, d], zero at init
 
     def apply(self, w_base: Tensor) -> Tensor:
-        return add(w_base, matmul(self.a, self.b))
+        """w_base + A@B, as A@B + w_base in one node: the same bits."""
+        return linear(self.a, self.b, w_base)
 
     def delta(self) -> np.ndarray:
         return self.a.data @ self.b.data
@@ -116,33 +117,29 @@ class ToyDecoder:
         With a cache, h holds only the positions after the `cache.length`
         already seen: they take absolute positions start..start+L-1, attend
         to every cached key as well as to each other, and their keys and
-        values are appended. The cache's first call folds the adapters
-        (per `use_lora`) into (wq, wv) for every later call. Positions past
-        `max_seq` raise ShapeError.
+        values are written into the cache. The cache's first call folds the
+        adapters (per `use_lora`) into (wq, wv) for every later call.
+        Positions past `max_seq` raise ShapeError before anything is
+        written.
         """
         cfg = self.cfg
-        batch, length, d = h.shape
+        batch, length, _ = h.shape
         start = 0 if cache is None else cache.length
         if start + length > cfg.max_seq:
             raise ShapeError(f"sequence length {start + length} exceeds max "
                              f"{cfg.max_seq}")
-        n_heads = cfg.lm_heads
-        dh = d // n_heads
 
         pos = slice_(self.pos_embed, (slice(start, start + length),))
         x = add(h, pos)
 
         allowed = np.tri(length, start + length, start, dtype=bool)
         if cache is not None:
-            key_valid = cache.extend_valid(key_valid, batch, length)
+            key_valid = cache.extend_valid(key_valid, batch, length, cfg.max_seq)
             if not cache.weights:
                 cache.weights = [self.fold_adapters(layer, use_lora)
                                  for layer in self.layers]
         if key_valid is not None:
             allowed = allowed & (np.asarray(key_valid) > 0)[:, None, None, :]
-
-        def split_heads(t):
-            return transpose(reshape(t, (batch, -1, n_heads, dh)), (0, 2, 1, 3))
 
         for i, layer in enumerate(self.layers):
             a = a_kv = layer_norm(x, *layer["ln1"])
@@ -153,13 +150,12 @@ class ToyDecoder:
                 rows = (slice(None), slice(length - keep, None))
                 a, x = slice_(a, rows), slice_(x, rows)
                 allowed = allowed[..., length - keep:, :]
-            q = split_heads(matmul(a, wq))
-            k = split_heads(matmul(a_kv, layer["wk"]))
-            v = split_heads(matmul(a_kv, wv))
+            q = matmul(a, wq)
+            k = matmul(a_kv, layer["wk"])
+            v = matmul(a_kv, wv)
             if cache is not None:
-                k, v = cache.extend_layer(i, k, v)
-            ctx = attention(q, k, v, allowed)
-            ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, -1, d))
+                k, v = cache.extend_layer(i, k.data, v.data)
+            ctx = attention(q, k, v, allowed, heads=cfg.lm_heads)
             x = add(x, matmul(ctx, layer["wo"]))
 
             f = layer_norm(x, *layer["ln2"])
@@ -172,35 +168,39 @@ class ToyDecoder:
 
 @dataclass
 class DecodeCache:
-    """What one incremental decode keeps between `ToyDecoder.forward` calls.
+    """What one incremental decode keeps between `ToyDecoder.forward` calls:
+    plain arrays, preallocated to `max_seq` positions on the first call and
+    written in place. Decode only: it passes no gradient into earlier calls,
+    and no caller tapes it.
 
     Start it empty; the decoder fills it on each call."""
     weights: list = field(default_factory=list)  # per layer (wq, wv), folded
-    keys: list = field(default_factory=list)     # per layer [B, H, S, dh]
-    values: list = field(default_factory=list)   # per layer [B, H, S, dh]
-    key_valid: np.ndarray = None                 # [B, S] validity so far
+    keys: list = field(default_factory=list)     # per layer [B, max_seq, d]
+    values: list = field(default_factory=list)   # per layer [B, max_seq, d]
+    key_valid: np.ndarray = None                 # [B, max_seq] validity
+    length: int = 0                              # positions filled so far
 
-    @property
-    def length(self) -> int:
-        return 0 if self.key_valid is None else self.key_valid.shape[1]
+    def extend_valid(self, key_valid, batch: int, length: int,
+                     max_seq: int) -> np.ndarray:
+        """Append the new positions' validity (all valid when None); returns
+        the validity of every position so far."""
+        if self.key_valid is None:
+            self.key_valid = np.zeros((batch, max_seq), dtype=bool)
+        start, self.length = self.length, self.length + length
+        self.key_valid[:, start:self.length] = (
+            True if key_valid is None else np.asarray(key_valid) > 0)
+        return self.key_valid[:, :self.length]
 
-    def extend_valid(self, key_valid, batch: int, length: int) -> np.ndarray:
-        """Append the new positions' validity (all valid when None)."""
-        new = (np.ones((batch, length)) if key_valid is None
-               else np.asarray(key_valid))
-        self.key_valid = (new if self.key_valid is None
-                          else np.concatenate([self.key_valid, new], axis=1))
-        return self.key_valid
-
-    def extend_layer(self, i: int, k: Tensor, v: Tensor):
-        """Append layer i's new keys and values; returns all of them."""
+    def extend_layer(self, i: int, k: np.ndarray, v: np.ndarray):
+        """Write layer i's keys and values for the positions `extend_valid`
+        just added; returns views of all of them so far."""
         if i == len(self.keys):
-            self.keys.append(k)
-            self.values.append(v)
-        else:
-            self.keys[i] = concat([self.keys[i], k], axis=2)
-            self.values[i] = concat([self.values[i], v], axis=2)
-        return self.keys[i], self.values[i]
+            shape = (k.shape[0], self.key_valid.shape[1], k.shape[2])
+            self.keys.append(np.zeros(shape, dtype=k.dtype))
+            self.values.append(np.zeros(shape, dtype=v.dtype))
+        rows = slice(self.length - k.shape[1], self.length)
+        self.keys[i][:, rows], self.values[i][:, rows] = k, v
+        return self.keys[i][:, :self.length], self.values[i][:, :self.length]
 
 
 def ce_loss(logits: Tensor, labels: np.ndarray, loss_mask: np.ndarray) -> Tensor:

@@ -41,22 +41,6 @@ def derangement(n: int, rng: np.random.Generator) -> np.ndarray:
     return arr
 
 
-def _interp_matrix(t_in, t_out, dtype):
-    """[t_out, t_in] linear resampling map. Sample positions are numpy's
-    linspace(0, t_in-1, t_out): the identity when t_out == t_in, constant
-    replication when t_in == 1."""
-    w = np.zeros((t_out, t_in), dtype=dtype)
-    pos = np.linspace(0.0, t_in - 1.0, t_out)
-    lo = np.floor(pos).astype(int)
-    lo = np.minimum(lo, t_in - 1)
-    hi = np.minimum(lo + 1, t_in - 1)
-    frac = (pos - lo).astype(dtype)
-    rows = np.arange(t_out)
-    np.add.at(w, (rows, lo), 1.0 - frac)
-    np.add.at(w, (rows, hi), frac)
-    return w
-
-
 class Saclm:
     def __init__(self, cfg: Config, store: ParamStore):
         self.cfg = cfg
@@ -81,12 +65,24 @@ class Saclm:
     def align_text(self, text: Tensor, lengths, t_a: int) -> Tensor:
         """Resample each example's first lengths[b] text rows to t_a rows.
 
-        text: [B, T_t, d], right-padded. One constant [B, t_a, T_t] map whose
-        padded columns are zero, so padding never reaches the result.
+        text: [B, T_t, d], right-padded. One constant [B, t_a, T_t] linear
+        resampling map whose padded columns are zero, so padding never
+        reaches the result. Row b samples at numpy's linspace(0, n_b - 1,
+        t_a), bit for bit: i times the step, the endpoint exact when t_a > 1.
+        That is the identity when t_a == n_b, constant replication when n_b
+        == 1.
         """
+        n = np.asarray(lengths)[:, None]
+        pos = np.arange(t_a) * ((n - 1.0) / max(t_a - 1, 1))
+        if t_a > 1:
+            pos[:, -1] = n[:, 0] - 1.0
+        lo = np.minimum(np.floor(pos).astype(int), n - 1)
+        hi = np.minimum(lo + 1, n - 1)
+        frac = (pos - lo).astype(text.dtype)
         w = np.zeros((text.shape[0], t_a, text.shape[1]), dtype=text.dtype)
-        for b, n in enumerate(lengths):
-            w[b, :, :n] = _interp_matrix(n, t_a, text.dtype)
+        rows = tuple(np.indices(lo.shape))
+        w[(*rows, lo)] = 1.0 - frac
+        w[(*rows, hi)] += frac   # where hi == lo, frac is 0
         return matmul(Tensor(w), text)
 
     def score(self, phi: Tensor, aligned: Tensor) -> Tensor:

@@ -1,7 +1,7 @@
-"""The one-node kernels `layer_norm`, `linear` and `cosine_distance` against
-the composites they replace, kept here as oracles: forward and every input
-gradient must agree bit for bit, in float32 and float64, for every subset of
-tracked inputs.
+"""The one-node kernels `layer_norm`, `linear`, `cosine_distance` and
+`attention` against the composites they replace, kept here as oracles:
+forward and every input gradient must agree bit for bit, in float32 and
+float64, for every subset of tracked inputs.
 
 Each tracked input also feeds a second op taped after the kernel, so its
 gradient already holds that op's share when the kernel's sends arrive; a
@@ -51,12 +51,65 @@ def cosine_distance_composite(a, b, eps=1e-8):
     return ad.sub(1.0, ad.div(dot, ad.add(ad.mul(na, nb), eps)))
 
 
+def attention_weights(q, k, allowed=None, heads=1):
+    """The softmax node of the attention composite: [..., Lq, Lk] weights,
+    per head when heads > 1 ([B, heads, Lq, Lk])."""
+    if heads > 1:
+        q, k = split_heads(q, heads), split_heads(k, heads)
+    k_t = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = ad.mul(ad.matmul(q, k_t), 1.0 / np.sqrt(k.shape[-1]))
+    if allowed is not None:
+        mask = np.where(allowed, 0.0, ad.MASK_NEG).astype(scores.dtype)
+        scores = ad.add(scores, Tensor(mask))
+    return ad.softmax(scores, axis=-1)
+
+
+def split_heads(t, heads):
+    """[B, L, d] -> [B, heads, L, d / heads], as the decoder split them."""
+    b, _, d = t.shape
+    return ad.transpose(ad.reshape(t, (b, -1, heads, d // heads)), (0, 2, 1, 3))
+
+
+def attention_composite(q, k, v, allowed=None, heads=1):
+    if heads == 1:
+        return ad.matmul(attention_weights(q, k, allowed), v)
+    q, k, v = (split_heads(t, heads) for t in (q, k, v))
+    ctx = ad.matmul(attention_weights(q, k, allowed), v)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (ctx.shape[0], -1, heads * v.shape[-1]))
+
+
+def spy_attention(monkeypatch, module):
+    """Replace `module.attention` with a pass-through that records each
+    call's (q, k, allowed, heads), the arguments of `attention_weights`."""
+    calls = []
+
+    def spy(q, k, v, allowed=None, heads=1):
+        calls.append((q, k, allowed, heads))
+        return ad.attention(q, k, v, allowed, heads)
+
+    monkeypatch.setattr(module, "attention", spy)
+    return calls
+
+
 def _inputs(rng, shapes, zero_row=False):
     arrays = [rng.standard_normal(shape) for shape in shapes]
     if zero_row:
         arrays[0][1] = 0.0
     return arrays
 
+
+def attention_pair(allowed=None, heads=1, alias=False):
+    """(kernel, composite) with the mask and heads bound; with alias, both
+    take one input that serves as q, k and v, so the send order shows."""
+    def bind(fn):
+        if alias:
+            return lambda x: fn(x, x, x, allowed, heads)
+        return lambda q, k, v: fn(q, k, v, allowed, heads)
+    return bind(ad.attention), bind(attention_composite)
+
+
+KEY_VALID = np.array([[1, 1, 1, 1, 0, 0, 1], [1, 1, 0, 1, 1, 1, 1]]) > 0
+WINDOW_VALID = np.arange(8) < np.array([[8], [3], [0], [5]])  # window 2 is empty
 
 # name -> (fused op, composite, input shapes, zero first input's row 1)
 CASES = {
@@ -76,6 +129,20 @@ CASES = {
                       [(64,), (64,)], False),
     "cosine_zero_row": (ad.cosine_distance, cosine_distance_composite,
                         [(3, 64), (3, 64)], True),
+    # the decoder: 4 heads, causal and key masks, the last 3 query rows kept
+    "attention_heads": (*attention_pair(np.tri(3, 7, 4, dtype=bool)
+                                        & KEY_VALID[:, None, None, :], heads=4),
+                        [(2, 3, 32), (2, 7, 32), (2, 7, 32)], False),
+    "attention_heads_alias": (*attention_pair(np.tri(7, dtype=bool), 4, alias=True),
+                              [(2, 7, 32)], False),
+    "attention_batch": (*attention_pair(np.arange(7) < np.array([[2], [7], [4]])),
+                        [(2, 3, 16), (2, 7, 16), (2, 7, 8)], False),
+    "attention_alias": (*attention_pair(np.tri(7, dtype=bool), alias=True),
+                        [(2, 7, 16)], False),
+    # the Q-Former: its queries attend to each other, then to every window
+    "attention_query_self": (*attention_pair(), [(3, 16), (3, 16), (3, 16)], False),
+    "attention_query_windows": (*attention_pair(WINDOW_VALID[:, None, :]),
+                                [(3, 16), (4, 8, 16), (4, 8, 16)], False),
 }
 
 

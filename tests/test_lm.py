@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from tinyalm.autodiff import ShapeError, Tape, Tensor, mul, slice_, sum_
+from test_fused_ops import attention_weights, spy_attention
+
+from tinyalm import lm
+from tinyalm.autodiff import ShapeError, Tape, Tensor, add, matmul, mul, slice_, sum_
 from tinyalm.config import Config, ConfigError
 from tinyalm.gradcheck import grad_check
-from tinyalm.lm import DecodeCache, ToyDecoder, build_sequence, ce_loss
+from tinyalm.lm import DecodeCache, LoraAdapter, ToyDecoder, build_sequence, ce_loss
 from tinyalm.params import ParamStore, seeded_rng
 
 
@@ -69,20 +72,42 @@ def test_lora_delta_rank_bounded():
             assert (sv > 1e-6 * sv[0]).sum() <= cfg.lora_rank
 
 
-def taped_attention(dec, h, key_valid=None):
-    """Per-layer attention weights, read from the decoder's softmax nodes.
-    The LoRA adapters are trainable, so every layer's attention is taped."""
-    with Tape() as tape:
-        dec.forward(h, key_valid=key_valid)
-    att = [out.data for op, _, out, _ in tape.nodes if op == "softmax"]
-    assert len(att) == dec.cfg.lm_layers
-    return att
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lora_apply_is_bit_identical_to_add_of_matmul(dtype):
+    """W + A@B as one linear node: the bytes of add(W, matmul(A, B)), in the
+    forward and in both adapter gradients."""
+    rng = seeded_rng(33)
+    w = Tensor(rng.standard_normal((16, 16)).astype(dtype))
+    lora = LoraAdapter(Tensor(rng.standard_normal((16, 4)).astype(dtype), requires_grad=True),
+                       Tensor(rng.standard_normal((4, 16)).astype(dtype), requires_grad=True))
+    weight = Tensor(rng.standard_normal((16, 16)).astype(dtype))
+
+    def run(fn):
+        lora.a.grad = lora.b.grad = None
+        with Tape() as tape:
+            out = fn()
+            tape.backward(sum_(mul(out, weight)))
+        return out.data, lora.a.grad, lora.b.grad
+
+    got = run(lambda: lora.apply(w))
+    want = run(lambda: add(w, matmul(lora.a, lora.b)))
+    for g, expected in zip(got, want):
+        assert g.dtype == expected.dtype and g.tobytes() == expected.tobytes()
 
 
-def test_attention_rows_sum_to_one():
+def decoder_attention(monkeypatch, dec, h, key_valid=None):
+    """Per-layer attention weights [B, H, L, L], recomputed by the composite
+    from the arguments of each of the decoder's attention calls."""
+    calls = spy_attention(monkeypatch, lm)
+    dec.forward(h, key_valid=key_valid)
+    assert len(calls) == dec.cfg.lm_layers
+    return [attention_weights(*call).data for call in calls]
+
+
+def test_attention_rows_sum_to_one(monkeypatch):
     _, _, dec = make_lm()
     h = embed_random(dec, 2, 7, seed=2)
-    for att in taped_attention(dec, h):
+    for att in decoder_attention(monkeypatch, dec, h):
         assert att.shape == (2, dec.cfg.lm_heads, 7, 7)
         sums = att.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -103,12 +128,12 @@ def test_causality_paired_forward():
     assert np.any(la[0, 6:] != lb[0, 6:])
 
 
-def test_key_valid_masks_weight_to_exact_zero():
+def test_key_valid_masks_weight_to_exact_zero(monkeypatch):
     _, _, dec = make_lm()
     h = embed_random(dec, 1, 6, seed=4)
     key_valid = np.ones((1, 6), dtype=np.float32)
     key_valid[0, 2] = 0.0
-    for att in taped_attention(dec, h, key_valid):
+    for att in decoder_attention(monkeypatch, dec, h, key_valid):
         assert np.all(att[:, :, 3:, 2] == 0.0)  # rows that could see key 2
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from test_fused_ops import attention_weights, spy_attention
+
+from tinyalm import qformer
 from tinyalm.autodiff import Tape, Tensor, mul, sum_
 from tinyalm.config import Config
 from tinyalm.gradcheck import grad_check
@@ -22,14 +25,14 @@ def run(qf, b, t, d, seed=0, mask=None):
     return qf.forward(u, mask)
 
 
-def taped_attention(qf, b, t, d, seed=0, mask=None):
-    """Forward on a tape; returns (features, self weights, cross weights)
-    read from the two softmax nodes the Q-Former records."""
-    with Tape() as tape:
-        z = run(qf, b, t, d, seed=seed, mask=mask)
-    att = [out.data for op, _, out, _ in tape.nodes if op == "softmax"]
-    assert len(att) == 2
-    return z, att[0], att[1]
+def run_attention(monkeypatch, qf, b, t, d, seed=0, mask=None):
+    """Forward; returns (features, self weights, cross weights), recomputed
+    by the composite from the arguments of the Q-Former's two attention
+    calls."""
+    calls = spy_attention(monkeypatch, qformer)
+    z = run(qf, b, t, d, seed=seed, mask=mask)
+    assert len(calls) == 2
+    return (z, *(attention_weights(*call).data for call in calls))
 
 
 def test_length_law_examples():
@@ -39,20 +42,20 @@ def test_length_law_examples():
     assert run(qf, 1, 5, 64).values.shape == (1, 1, 64)
 
 
-def test_length_law_sweep():
+def test_length_law_sweep(monkeypatch):
     _, _, qf = make_qf(window_frames=8, n_queries=2)
     for t in [1, 7, 8, 9, 16, 17, 40]:
-        z, _, cross = taped_attention(qf, 1, t, 64)
+        z, _, cross = run_attention(monkeypatch, qf, 1, t, 64)
         n_win = -(-t // 8)
         assert z.values.shape[1] == n_win * 2
         assert cross.shape == (n_win, 2, 8)  # one [N, W] block per window
         np.testing.assert_array_equal(z.valid, np.ones((1, n_win * 2)))
 
 
-def test_query_self_attention_runs_once():
+def test_query_self_attention_runs_once(monkeypatch):
     _, _, qf = make_qf(n_queries=3)
     for b, t in [(1, 5), (2, 19), (4, 40)]:
-        _, self_att, cross = taped_attention(qf, b, t, 64)
+        _, self_att, cross = run_attention(monkeypatch, qf, b, t, 64)
         assert self_att.shape == (3, 3)
         assert cross.shape == (b * -(-t // 8), 3, 8)
 
@@ -75,19 +78,19 @@ def test_doubling_input_doubles_output():
     assert b == 2 * a
 
 
-def test_masked_positions_get_exactly_zero_weight():
+def test_masked_positions_get_exactly_zero_weight(monkeypatch):
     _, _, qf = make_qf(window_frames=8)
     mask = np.ones((1, 8), dtype=np.float32)
     mask[0, 5:] = 0.0
-    _, _, cross = taped_attention(qf, 1, 8, 64, mask=mask)
+    _, _, cross = run_attention(monkeypatch, qf, 1, 8, 64, mask=mask)
     w = cross[0, 0]  # [W]
     assert np.all(w[5:] == 0.0)
     assert abs(w[:5].sum() - 1.0) < 1e-6
 
 
-def test_weights_sum_to_one_over_valid():
+def test_weights_sum_to_one_over_valid(monkeypatch):
     _, _, qf = make_qf()
-    z, self_att, cross = taped_attention(qf, 2, 19, 64, seed=3)
+    z, self_att, cross = run_attention(monkeypatch, qf, 2, 19, 64, seed=3)
     assert z.values.shape[1] == 3
     assert cross.shape == (2 * 3, 1, 8)  # [B * n_win, N, W]
     for w in (self_att, cross):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tinyalm.autodiff import Tape, Tensor, mean, mul
+from tinyalm.autodiff import Tape, Tensor, matmul, mean, mul
 from tinyalm.config import Config, ConfigError
 from tinyalm.gradcheck import grad_check
 from tinyalm.params import ParamStore, seeded_rng
@@ -39,6 +39,41 @@ def test_align_identity_and_replication():
     np.testing.assert_array_equal(out[1], np.tile([2.0, -1.0], (5, 1)))
     np.testing.assert_allclose(out[2], [[1, 2], [1.5, 3], [2, 4], [2.5, 5],
                                         [3, 6]], atol=1e-6)
+
+
+def interp_matrix(t_in, t_out, dtype):
+    """[t_out, t_in] linear resampling map of one example, at the sample
+    positions numpy's linspace(0, t_in-1, t_out) gives: the per-example
+    loop that `Saclm.align_text` replaced."""
+    w = np.zeros((t_out, t_in), dtype=dtype)
+    pos = np.linspace(0.0, t_in - 1.0, t_out)
+    lo = np.floor(pos).astype(int)
+    lo = np.minimum(lo, t_in - 1)
+    hi = np.minimum(lo + 1, t_in - 1)
+    frac = (pos - lo).astype(dtype)
+    rows = np.arange(t_out)
+    np.add.at(w, (rows, lo), 1.0 - frac)
+    np.add.at(w, (rows, hi), frac)
+    return w
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_align_is_bit_identical_to_per_example_maps(dtype):
+    """The one-pass map against one `interp_matrix` per example, on random
+    batches that include lengths of 1, t_a == 1 and t_a == T_t."""
+    _, _, sac = make_saclm()
+    rng = seeded_rng(18)
+    for trial in range(300):
+        b, t_t = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+        t_a = (1, t_t, int(rng.integers(1, 50)))[trial % 3]
+        lengths = rng.integers(1, t_t + 1, b)
+        lengths[trial % b] = 1 if trial % 2 else lengths[trial % b]
+        text = Tensor(rng.standard_normal((b, t_t, 4)).astype(dtype))
+        w = np.zeros((b, t_a, t_t), dtype=dtype)
+        for i, n in enumerate(lengths):
+            w[i, :, :n] = interp_matrix(n, t_a, dtype)
+        got = sac.align_text(text, lengths, t_a).data
+        assert got.tobytes() == matmul(Tensor(w), text).data.tobytes(), (lengths, t_a)
 
 
 def test_score_zero_net_gives_half():
