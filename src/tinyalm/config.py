@@ -134,10 +134,12 @@ class Config:
                      "samples_per_frame", "batch_size", "min_tokens", "enc1_window",
                      "enc1_stride", "enc2_window", "enc2_stride", "enc3_window",
                      "enc3_stride", "n_experts", "expert_hidden", "score_hidden",
-                     "agg_hidden", "vocab_symbols"):
+                     "agg_hidden", "vocab_symbols", "d_text", "lora_rank",
+                     "total_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lm_layers", "enc1_dim", "enc2_dim", "enc3_dim"):
+        for name in ("lm_layers", "enc1_dim", "enc2_dim", "enc3_dim", "seed",
+                     "model_seed", "motif_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.ablate not in ABLATIONS:

@@ -89,6 +89,8 @@ def gen_record(cfg: Config, seed: int, index: int,
 def gen_dataset(cfg: Config, seed: int, n: int) -> list:
     if n < 1:
         raise ConfigError(f"need at least one record, got n={n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     motifs = motif_table(cfg)
     return [gen_record(cfg, seed, i, motifs) for i in range(n)]
 

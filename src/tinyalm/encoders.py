@@ -38,13 +38,12 @@ class MockEncoder:
 class EncoderBank:
     def __init__(self, cfg: Config, store: ParamStore):
         self.cfg = cfg
-        dt = cfg.np_dtype
         self.encoders = []
         for i, (window, stride, dim) in enumerate(cfg.encoder_specs, 1):
             rng = seeded_rng(cfg.model_seed, 100 + i)
-            proj = Tensor((rng.standard_normal((window, dim))
-                           / np.sqrt(window)).astype(dt))
-            store.register(f"encoders.enc{i}.proj", proj, trainable=False)
+            proj = store.param(f"encoders.enc{i}.proj",
+                               rng.standard_normal((window, dim)) / np.sqrt(window),
+                               cfg.np_dtype, trainable=False)
             self.encoders.append(MockEncoder(window, stride, dim, proj))
 
     @property

@@ -1,11 +1,11 @@
 """Frozen decoder-only toy language model with low-rank adapters.
 
-The base weights are seeded, registered frozen, and never touched by the
-optimizer; the only trainable pieces are rank-r adapter pairs on each
-layer's query and value projections (W_eff = W + A@B, B zero-initialized
-so training starts exactly at the base model). Each uncached forward
-recomputes W_eff; a decode cache folds it once and then feeds the decoder
-one new position per call.
+Every base weight is declared frozen in the parameter store and never
+touched by the optimizer; the only trainable pieces are rank-r adapter
+pairs on each layer's query and value projections (W_eff = W + A@B, B
+zero-initialized so training starts exactly at the base model). Each
+uncached forward recomputes W_eff; a decode cache folds it once and then
+feeds the decoder one new position per call.
 """
 
 from __future__ import annotations
@@ -43,28 +43,22 @@ class SequenceBatch:
     key_valid: np.ndarray    # [B, L] 1.0 where the position is a real key
     labels: np.ndarray       # [B, n_text] next-token ids, -1 at text pads
     loss_mask: np.ndarray    # [B, n_text] 1.0 exactly at supervised positions
-    audio_len: int
 
 
 class ToyDecoder:
     def __init__(self, cfg: Config, store: ParamStore):
         cfg.validate()
         self.cfg = cfg
-        d, dt = cfg.d_model, cfg.np_dtype
+        d, dt, r = cfg.d_model, cfg.np_dtype, cfg.lora_rank
         rng = seeded_rng(cfg.model_seed, 500)
 
         def frozen(name, arr):
-            t = Tensor(arr.astype(dt), requires_grad=False)
-            store.register(f"lm.base.{name}", t, trainable=False)
-            return t
+            return store.param(f"lm.base.{name}", arr, dt, trainable=False)
 
         def adapter(name):
-            a = Tensor((rng.standard_normal((d, cfg.lora_rank)) * 0.02).astype(dt),
-                       requires_grad=True)
-            b = Tensor(np.zeros((cfg.lora_rank, d), dtype=dt), requires_grad=True)
-            store.register(f"lm.lora.{name}.a", a, trainable=True)
-            store.register(f"lm.lora.{name}.b", b, trainable=True)
-            return LoraAdapter(a, b)
+            return LoraAdapter(
+                store.param(f"lm.lora.{name}.a", rng.standard_normal((d, r)) * 0.02, dt),
+                store.param(f"lm.lora.{name}.b", np.zeros((r, d)), dt))
 
         v = cfg.vocab_total
         self.tok_embed = frozen("tok_embed", rng.standard_normal((v, d)) * 0.02)
@@ -242,4 +236,4 @@ def build_sequence(cfg: Config, decoder: ToyDecoder, audio_prefix: Tensor,
     text_embed = decoder.embed_tokens(text_in)
     hidden = concat([audio_prefix, prompt_vecs, text_embed], axis=1)
     return SequenceBatch(hidden=hidden, key_valid=key_valid, labels=labels,
-                         loss_mask=(labels >= 0).astype(dt), audio_len=l_audio)
+                         loss_mask=(labels >= 0).astype(dt))

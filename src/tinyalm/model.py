@@ -15,7 +15,7 @@ from .data import Record
 from .encoders import EncoderBank, FusedFeatures
 from .lm import DecodeCache, SequenceBatch, ToyDecoder, build_sequence, ce_loss
 from .params import ParamStore, seeded_rng
-from .qformer import InputProjection, QueryFeatures, WindowQFormer
+from .qformer import QueryFeatures, WindowQFormer
 from .saclm import Saclm, SaclmOutput
 from .tapm import Tapm
 
@@ -33,46 +33,29 @@ class ForwardOut:
     phi: Tensor
 
 
-def trainable_param_formula(cfg: Config, fused_dim: int) -> int:
-    """Analytic count of every trainable tensor the model registers."""
-    d, dt_ = cfg.d_model, cfg.d_text
-    h, hs, ha = cfg.expert_hidden, cfg.score_hidden, cfg.agg_hidden
-    inproj = fused_dim * d + d          # fused-width adapter
-    inproj += d * d + d                 # audio-to-decoder adapter
-    inproj += cfg.prompt_vocab * d      # prompt embedding on the decoder side
-    qf = cfg.n_queries * d + 8 * d * d + 3 * 2 * d
-    tapm = 2 * dt_ + cfg.prompt_vocab * dt_ + dt_ * cfg.n_experts
-    tapm += cfg.n_experts * (d * h + h + h * d + d)
-    saclm = (2 * d) * hs + hs + hs * 1 + 1
-    saclm += d * ha + ha + ha * d + d
-    lora = cfg.lm_layers * 2 * (d * cfg.lora_rank + cfg.lora_rank * d)
-    return inproj + qf + tapm + saclm + lora
-
-
 class Model:
     def __init__(self, cfg: Config):
         cfg.validate()
         self.cfg = cfg
-        self.store = ParamStore()
-        self.encoders = EncoderBank(cfg, self.store)
-        self.inproj = InputProjection(cfg, self.store, self.encoders.fused_dim)
-        self.qformer = WindowQFormer(cfg, self.store)
-        self.tapm = Tapm(cfg, self.store)
-        self.saclm = Saclm(cfg, self.store)
-        self.decoder = ToyDecoder(cfg, self.store)
-
+        self.store = store = ParamStore()
         d, dt = cfg.d_model, cfg.np_dtype
+        self.encoders = EncoderBank(cfg, store)
+        # per-frame adapter from the fused encoder width to the model width
+        u, rng = self.encoders.fused_dim, seeded_rng(cfg.model_seed, 200)
+        self.inproj_w = store.param("inproj.weight",
+                                    rng.standard_normal((u, d)) / np.sqrt(u), dt)
+        self.inproj_b = store.param("inproj.bias", np.zeros(d), dt)
+        self.qformer = WindowQFormer(cfg, store)
+        self.tapm = Tapm(cfg, store)
+        self.saclm = Saclm(cfg, store)
+        self.decoder = ToyDecoder(cfg, store)
+
         rng = seeded_rng(cfg.model_seed, 600)
-        self.audio_w = Tensor((rng.standard_normal((d, d)) / np.sqrt(d)).astype(dt),
-                              requires_grad=True)
-        self.audio_b = Tensor(np.zeros(d, dtype=dt), requires_grad=True)
-        self.lm_prompt_embed = Tensor(
-            (rng.standard_normal((cfg.prompt_vocab, d)) * 0.02).astype(dt),
-            requires_grad=True)
-        self.store.register("inproj.audio.weight", self.audio_w, trainable=True)
-        self.store.register("inproj.audio.bias", self.audio_b, trainable=True)
-        self.store.register("inproj.prompt_embed", self.lm_prompt_embed,
-                            trainable=True)
+        self.audio_w = store.param("inproj.audio.weight",
+                                   rng.standard_normal((d, d)) / np.sqrt(d), dt)
+        self.audio_b = store.param("inproj.audio.bias", np.zeros(d), dt)
+        self.lm_prompt_embed = store.param(
+            "inproj.prompt_embed", rng.standard_normal((cfg.prompt_vocab, d)) * 0.02, dt)
 
     def trainable_count(self) -> int:
         return self.store.trainable_count()
@@ -99,7 +82,7 @@ class Model:
         audio_valid, prompt_vecs); routing is None when TAPM is disabled."""
         cfg = self.cfg
         fused = self.encoders.encode_all([r.samples for r in records])
-        proj = self.inproj(fused.values)
+        proj = linear(fused.values, self.inproj_w, self.inproj_b)
         zfeat = self.qformer.forward(proj, fused.mask)
 
         task_ids = np.array([r.task_id for r in records])

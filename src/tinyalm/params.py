@@ -8,19 +8,20 @@ from .autodiff import Tensor
 
 
 class ParamStore:
-    """Map from dotted path to Tensor. A tensor's requires_grad flag is its
-    trainable flag; frozen entries must stay bit-identical across training."""
+    """Map from dotted path to Tensor. `param` is the only way to declare a
+    parameter. A tensor's requires_grad flag is its trainable flag; frozen
+    entries must stay bit-identical across training."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._flat = ([], None)  # (names, buffer) of the last `flatten`
 
-    def register(self, name: str, tensor: Tensor, trainable: bool = True) -> Tensor:
+    def param(self, name: str, value, dtype, trainable: bool = True) -> Tensor:
+        """Declare `name` as `value` cast to `dtype`; a repeated name raises."""
         if name in self._params:
             raise ValueError(f"parameter name already registered: {name}")
-        tensor.requires_grad = trainable
-        self._params[name] = tensor
-        return tensor
+        t = self._params[name] = Tensor(value, requires_grad=trainable, dtype=dtype)
+        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

@@ -4,13 +4,12 @@ length grows with the input: ceil(T/W) windows times N queries."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, attention, concat, layer_norm, linear,
-                       matmul, mul, reshape)
+from .autodiff import (Tensor, add, attention, concat, layer_norm, matmul, mul,
+                       reshape)
 from .config import Config
 from .params import ParamStore, seeded_rng
 
@@ -22,43 +21,20 @@ class QueryFeatures:
     empty_windows: int        # windows with zero valid frames (diagnostic)
 
 
-class InputProjection:
-    """Per-frame linear adapter from fused encoder width to model width."""
-
-    def __init__(self, cfg: Config, store: ParamStore, fused_dim: int):
-        dt = cfg.np_dtype
-        rng = seeded_rng(cfg.model_seed, 200)
-        self.weight = Tensor((rng.standard_normal((fused_dim, cfg.d_model))
-                              / math.sqrt(fused_dim)).astype(dt), requires_grad=True)
-        self.bias = Tensor(np.zeros(cfg.d_model, dtype=dt), requires_grad=True)
-        store.register("inproj.weight", self.weight, trainable=True)
-        store.register("inproj.bias", self.bias, trainable=True)
-
-    def __call__(self, u: Tensor) -> Tensor:
-        return linear(u, self.weight, self.bias)
-
-
 class WindowQFormer:
     def __init__(self, cfg: Config, store: ParamStore):
         self.cfg = cfg
         self.n_queries = cfg.n_queries
         self.window = cfg.window_frames
-        d = cfg.d_model
-        dt = cfg.np_dtype
+        d, dt = cfg.d_model, cfg.np_dtype
         rng = seeded_rng(cfg.model_seed, 201)
 
-        def w(name, shape, std=0.02, trainable=True):
-            t = Tensor((rng.standard_normal(shape) * std).astype(dt),
-                       requires_grad=trainable)
-            store.register(f"qformer.{name}", t, trainable=trainable)
-            return t
+        def w(name, shape):
+            return store.param(f"qformer.{name}", rng.standard_normal(shape) * 0.02, dt)
 
         def ln(name):
-            g = Tensor(np.ones(d, dtype=dt), requires_grad=True)
-            b = Tensor(np.zeros(d, dtype=dt), requires_grad=True)
-            store.register(f"qformer.{name}.gain", g, trainable=True)
-            store.register(f"qformer.{name}.bias", b, trainable=True)
-            return g, b
+            return (store.param(f"qformer.{name}.gain", np.ones(d), dt),
+                    store.param(f"qformer.{name}.bias", np.zeros(d), dt))
 
         self.query = w("query", (cfg.n_queries, d))
         self.self_ln = ln("self_ln")

@@ -48,9 +48,7 @@ class Saclm:
         rng = seeded_rng(cfg.model_seed, 400)
 
         def reg(name, arr):
-            t = Tensor(arr.astype(dt), requires_grad=True)
-            store.register(f"saclm.{name}", t, trainable=True)
-            return t
+            return store.param(f"saclm.{name}", arr, dt)
 
         self.score_w1 = reg("score.w1", rng.standard_normal((2 * d, hid)) / np.sqrt(2 * d))
         self.score_b1 = reg("score.b1", np.zeros(hid))

@@ -27,9 +27,7 @@ class Tapm:
         rng = seeded_rng(cfg.model_seed, 300)
 
         def reg(name, arr):
-            t = Tensor(arr.astype(dt), requires_grad=True)
-            store.register(f"tapm.{name}", t, trainable=True)
-            return t
+            return store.param(f"tapm.{name}", arr, dt)
 
         self.task_embed = reg("task_embed",
                               rng.standard_normal((2, cfg.d_text)) * 0.02)

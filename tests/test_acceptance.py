@@ -17,11 +17,13 @@ from tinyalm.checkpoint import load_checkpoint, save_checkpoint
 from tinyalm.checks import run_model_suite, run_op_suite
 from tinyalm.config import Config, dump_config, parse_config
 from tinyalm.data import gen_dataset
-from tinyalm.model import Model, trainable_param_formula
+from tinyalm.model import Model
 from tinyalm.optim import AdamW
 from tinyalm.params import ParamStore, seeded_rng
 from tinyalm.qformer import WindowQFormer
 from tinyalm.train import evaluate, run_training
+
+from param_formula import trainable_param_formula
 
 TRAINABLE_PREFIXES = ("qformer.", "tapm.", "saclm.", "lm.lora.", "inproj.")
 FROZEN_PREFIXES = ("encoders.", "lm.base.")

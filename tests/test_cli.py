@@ -154,6 +154,10 @@ def test_unknown_config_key_is_usage_error(workdir, capsys):
     ("n_experts = 0", "n_experts must be >= 1"),
     ("max_seq = 10", "max_seq 10 is shorter"),
     ("adam_beta1 = 1.0", "adam_beta1 must lie in [0,1)"),
+    ("d_text = -1", "d_text must be >= 1"),
+    ("lora_rank = -1", "lora_rank must be >= 1"),
+    ("seed = -1", "seed must be >= 0"),
+    ("model_seed = -1", "model_seed must be >= 0"),
 ])
 def test_malformed_config_is_usage_error(workdir, capsys, line, message):
     root, cfg, data = workdir
@@ -164,6 +168,19 @@ def test_malformed_config_is_usage_error(workdir, capsys, line, message):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_negative_total_steps_is_usage_error(workdir, capsys):
+    # SMALL sets total_steps already; a second line would be a duplicate key
+    root, cfg, data = workdir
+    bad = root / "bad.txt"
+    bad.write_text(SMALL.replace("total_steps = 12", "total_steps = -3"))
+    rc = main(["train", "--config", str(bad), "--data", str(data),
+               "--out-dir", str(root / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "total_steps must be >= 1" in err
     assert "Traceback" not in err
 
 
@@ -209,6 +226,22 @@ def test_gen_data_zero_records_is_usage_error(tmp_path, capsys):
                "--out", str(tmp_path / "d.bin")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, seed, message", [
+    (SMALL, "-1", "seed must be >= 0"),
+    (SMALL + "motif_seed = -1\n", "0", "motif_seed must be >= 0"),
+], ids=["seed", "motif_seed"])
+def test_gen_data_negative_seed_is_usage_error(tmp_path, capsys, spec, seed,
+                                               message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(spec)
+    rc = main(["gen-data", "--spec", str(cfg), "--n", "4", "--seed", seed,
+               "--out", str(tmp_path / "d.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "d.bin").exists()
 
 
 def test_checkpoint_directory_is_usage_error(workdir, capsys):

@@ -108,6 +108,17 @@ def test_validate_rejects_out_of_range():
     (dict(weight_decay=-1e-6), "weight_decay"),
     (dict(margin=-0.2), "margin"),
     (dict(lambda_sparsity=-0.01), "lambda_sparsity"),
+    # the router reads a d_text-wide prompt embedding; 0 leaves it no input
+    (dict(d_text=0), "d_text"),
+    (dict(d_text=-1), "d_text"),
+    # rank 0 leaves the decoder with no trainable family
+    (dict(lora_rank=0), "lora_rank"),
+    (dict(lora_rank=-1), "lora_rank"),
+    (dict(seed=-1), "^seed must be >= 0"),
+    (dict(model_seed=-1), "model_seed"),
+    (dict(motif_seed=-1), "motif_seed"),
+    (dict(total_steps=0), "total_steps"),
+    (dict(total_steps=-3), "total_steps"),
 ])
 def test_validate_rejects_range_gaps(over, match):
     with pytest.raises(ConfigError, match=match):

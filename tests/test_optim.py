@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tinyalm.autodiff import Tensor
 from tinyalm.config import Config
 from tinyalm.model import Model
 from tinyalm.optim import AdamW, lr_at
@@ -44,8 +43,7 @@ def hand_adamw(p, g, lr, b1, b2, eps, wd, steps):
 def test_adamw_single_scalar_matches_hand_formula():
     cfg = Config(lr=5e-5, weight_decay=1e-6)
     store = ParamStore()
-    p = Tensor(np.array([[1.0]], dtype=np.float32), requires_grad=True)
-    store.register("w", p, trainable=True)  # rank 2: decay applies
+    p = store.param("w", [[1.0]], np.float32)  # rank 2: decay applies
     opt = AdamW(store, cfg)
     p.grad = np.array([[1.0]], dtype=np.float32)
     opt.step(cfg.lr)
@@ -63,12 +61,9 @@ def test_adamw_single_scalar_matches_hand_formula():
 def test_decay_exemption_for_bias_and_query():
     cfg = Config()
     store = ParamStore()
-    mat = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-    vec = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-    q = Tensor(np.ones((1, 2), dtype=np.float32), requires_grad=True)
-    store.register("layer.w", mat, trainable=True)
-    store.register("layer.bias", vec, trainable=True)
-    store.register("qformer.query", q, trainable=True)
+    mat = store.param("layer.w", np.ones((2, 2)), np.float32)
+    vec = store.param("layer.bias", np.ones(2), np.float32)
+    q = store.param("qformer.query", np.ones((1, 2)), np.float32)
     opt = AdamW(store, cfg)
     assert opt.exempt == {"layer.bias", "qformer.query"}
 
@@ -96,8 +91,7 @@ def test_default_model_exempts_biases_gains_and_query():
 def test_missing_gradient_treated_as_zero():
     cfg = Config()
     store = ParamStore()
-    p = Tensor(np.full((2, 2), 3.0, dtype=np.float32), requires_grad=True)
-    store.register("w", p, trainable=True)
+    p = store.param("w", np.full((2, 2), 3.0), np.float32)
     opt = AdamW(store, cfg)
     p.grad = None
     opt.step(0.1)  # decay-only movement, no crash
@@ -108,8 +102,7 @@ def test_missing_gradient_treated_as_zero():
 def test_updates_stay_float32():
     cfg = Config()
     store = ParamStore()
-    p = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-    store.register("w", p, trainable=True)
+    p = store.param("w", np.ones((2, 2)), np.float32)
     opt = AdamW(store, cfg)
     p.grad = np.full((2, 2), 0.5, dtype=np.float32)
     opt.step(1e-3)
@@ -145,7 +138,7 @@ def test_flat_update_bit_identical_to_per_tensor_loop():
               "b.w2": (9,), "c.gain": (8,), "c.w": (8, 3), "d.w": (4, 4)}
     store = ParamStore()
     for name, shape in shapes.items():
-        store.register(name, Tensor(rng.standard_normal(shape).astype(np.float32)))
+        store.param(name, rng.standard_normal(shape), np.float32)
     opt = AdamW(store, cfg)
     assert opt.exempt == {"a.bias", "qformer.query", "c.gain"}
     params = {n: t.data.copy() for n, t in store.trainable_items()}

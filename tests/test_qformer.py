@@ -4,11 +4,12 @@ import pytest
 from test_fused_ops import attention_weights, spy_attention
 
 from tinyalm import qformer
-from tinyalm.autodiff import Tape, Tensor, mul, sum_
+from tinyalm.autodiff import Tape, Tensor, linear, mul, sum_
 from tinyalm.config import Config
 from tinyalm.gradcheck import grad_check
 from tinyalm.params import ParamStore, seeded_rng
-from tinyalm.qformer import InputProjection, WindowQFormer
+from tinyalm.model import Model
+from tinyalm.qformer import WindowQFormer
 
 
 def make_qf(**over):
@@ -141,11 +142,16 @@ def test_gradient_reaches_query():
         assert t.grad is not None, name
 
 
+def input_proj(model):
+    """The model's per-frame input projection, as its front end applies it."""
+    w, b = model.store["inproj.weight"], model.store["inproj.bias"]
+    return (lambda u: linear(u, w, b)), {"inproj.weight": w, "inproj.bias": b}
+
+
 def test_input_proj_identity_fixture_and_zero_input():
-    cfg = Config(d_model=24)
-    store = ParamStore()
-    proj = InputProjection(cfg, store, fused_dim=24)
-    proj.weight.data[...] = np.eye(24, dtype=np.float32)
+    model = Model(Config(d_model=24))  # fused width 8 + 8 + 8
+    proj, params = input_proj(model)
+    params["inproj.weight"].data[...] = np.eye(24, dtype=np.float32)
     x = seeded_rng(4).standard_normal((2, 5, 24)).astype(np.float32)
     np.testing.assert_allclose(proj(Tensor(x)).data, x, atol=1e-7)
     zero = np.zeros((1, 3, 24), dtype=np.float32)
@@ -153,16 +159,16 @@ def test_input_proj_identity_fixture_and_zero_input():
 
 
 def test_input_proj_gradient_fd():
-    cfg = Config(d_model=3, dtype="float64")
-    store = ParamStore()
-    proj = InputProjection(cfg, store, fused_dim=2)
+    model = Model(Config(d_model=3, dtype="float64", lm_heads=1, lora_rank=1,
+                         enc1_dim=2, enc2_dim=0, enc3_dim=0))
+    proj, params = input_proj(model)
     x = Tensor(seeded_rng(6).standard_normal((1, 2, 2)))
     probe = Tensor(seeded_rng(7).standard_normal((1, 2, 3)))
 
     def f():
         return sum_(mul(proj(x), probe))
 
-    report = grad_check(f, dict(store.trainable_items()))
+    report = grad_check(f, params)
     assert report.passed, report.format_table()
 
 

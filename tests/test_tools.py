@@ -1,0 +1,40 @@
+"""The scripts under tools/ run outside the test suite, but they import
+tests/test_acceptance.py, perfbench/workload.py and the model API. Importing
+them here catches a moved or renamed name; their __main__ guards keep the
+import from running anything."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from tinyalm.config import Config
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def import_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(autouse=True)
+def keep_sys_path(monkeypatch):
+    # each tool puts its own sibling directory on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+
+def test_c6_spread_imports():
+    tool = import_tool("c6_spread")
+    assert callable(tool.main) and callable(tool.gap)
+    Config(**tool.C6_EXPERIMENT).validate()
+
+
+def test_train_digest_imports():
+    tool = import_tool("train_digest")
+    assert callable(tool.main)
+    for name, _ in tool.RUNS:
+        Config(**tool.WORKLOADS[name].config).validate()
