@@ -4,8 +4,8 @@ Tensors wrap numpy arrays. While a Tape is active, every primitive that
 touches a tracked tensor appends one node (op name, inputs, output, backward
 closure). Tape.backward replays the nodes in strictly reverse append order,
 accumulating gradients additively whenever a tensor feeds several consumers.
-Gradients are written only to leaf tensors created with requires_grad=True;
-everything else receives gradient transiently or not at all.
+Gradients are added in place only into the `grad` of leaf tensors created
+with requires_grad=True; all else gets gradient transiently or not at all.
 """
 
 from __future__ import annotations
@@ -58,13 +58,16 @@ class Tape:
         root is usually a scalar loss; for non-scalars the seed gradient is
         all-ones. Traversal is strictly reverse append order, so every
         consumer of a tensor has already deposited its contribution by the
-        time the producing node is replayed.
+        time the producing node is replayed. Leaf contributions add in place
+        into `grad` (zeros when None): their direct sums, but a lone -0.0 is +0.0.
         """
         interior = {}
 
         def send(t, g):
             if t.requires_grad:
-                t.grad = g if t.grad is None else t.grad + g
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                t.grad += g
             elif id(t) in self._produced:
                 prev = interior.get(id(t))
                 interior[id(t)] = g if prev is None else prev + g

@@ -65,7 +65,8 @@ def grad_check(f, params, eps: float = 1e-4, tol: float = 1e-4,
         if p.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 parameters; "
                              f"{name} is {p.dtype}")
-        p.grad = None
+        if p.grad is not None:
+            p.grad.fill(0)  # in place: it may view an optimizer's flat gradient
 
     with Tape() as tape:
         y = f()
@@ -81,8 +82,7 @@ def grad_check(f, params, eps: float = 1e-4, tol: float = 1e-4,
         if not p.requires_grad:
             report.skipped.append(name)
             continue
-        g_ad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        g_ad = np.asarray(g_ad).reshape(-1)
+        g_ad = np.zeros(p.size) if p.grad is None else p.grad.reshape(-1)
         worst_here = 0.0
         flat = p.data.reshape(-1)
         for i in range(flat.size):

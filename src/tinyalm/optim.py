@@ -40,10 +40,10 @@ class AdamW:
     a bias or gain must name it so; any other name decays, whatever its
     rank.
 
-    From the first step on, the trainables are views into one flat store
-    buffer, decayed first; moments and gradient are flat alike (`m`, `v`,
-    `grads` map names to views), and the chunked in-place update keeps the
-    per-tensor formula's per-element operations in order, bit for bit."""
+    From the first `gradient()` on, the trainables' data and grads view the
+    store's flat buffers, decayed first, and the tape adds into the grads in
+    place; `m` and `v` map names to views of flat moments, and the chunked
+    update keeps the per-tensor formula's operations in order, bit for bit."""
 
     def __init__(self, store: ParamStore, cfg: Config):
         self.store = store
@@ -57,36 +57,32 @@ class AdamW:
         self._order = decayed + [n for n, _ in items if n in self.exempt]
         self.n_decay = sum(store[n].size for n in decayed)  # decay covers flat[:n_decay]
         ends = list(itertools.accumulate(store[n].size for n in self._order))
-        self._segment = {n: slice(e - store[n].size, e) for n, e in zip(self._order, ends)}
+        segment = {n: slice(e - store[n].size, e) for n, e in zip(self._order, ends)}
         # an optimizer that never steps (one built to write a checkpoint)
         # never flattens the store; np.zeros can leave pages untouched
         size, dtype = (ends[-1], items[0][1].dtype) if items else (0, np.float32)
         self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
-        self.m, self.v = self._views(self._m), self._views(self._v)
-        self.grads = {}  # views of the flat gradient, from the first gather
+        self.m = {n: self._m[segment[n]].reshape(p.shape) for n, p in items}
+        self.v = {n: self._v[segment[n]].reshape(p.shape) for n, p in items}
         self.flat = self._grad = self._scratch = None
 
-    def _views(self, flat: np.ndarray) -> dict:
-        return {name: flat[self._segment[name]].reshape(p.shape)
-                for name, p in self.store.trainable_items()}
-
-    def gather(self) -> np.ndarray:
-        """Copy every trainable's .grad (zero where it is None) into the flat
-        gradient and return it. The first call flattens the store."""
-        if self._grad is None:
-            self.flat = self.store.flatten(self._order)
-            self._grad = np.empty_like(self.flat)
+    def gradient(self) -> np.ndarray:
+        """The flat gradient the trainables' grads view. The first call
+        flattens the store; made after the first backward, it puts both
+        buffers atop the heap that step grew, so glibc stops trimming it."""
+        if self.flat is None:
+            self.flat, self._grad = self.store.flatten(self._order)
             self._scratch = np.empty((2, min(_CHUNK, self.flat.size)), self.flat.dtype)
-            self.grads = self._views(self._grad)
-        for name, g in self.grads.items():
-            grad = self.store[name].grad
-            g[...] = 0 if grad is None else grad
         return self._grad
 
-    def step(self, lr: float, grad: np.ndarray = None):
-        """One update from the flat gradient `grad`; gathered when None."""
-        if grad is None:
-            grad = self.gather()
+    def zero_grad(self):
+        """Zero the trainables' grads with one fill; with none set, do nothing."""
+        if self.flat is not None or any(self.store[n].grad is not None for n in self._order):
+            self.gradient().fill(0)
+
+    def step(self, lr: float):
+        """One update from the trainables' gradients."""
+        grad = self.gradient()
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count

@@ -14,7 +14,7 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._flat = ([], None)  # (names, buffer) of the last `flatten`
+        self._flat = ([], None)  # (names, (data, grad)) of the last `flatten`
 
     def param(self, name: str, value, dtype, trainable: bool = True) -> Tensor:
         """Declare `name` as `value` cast to `dtype`; a repeated name raises."""
@@ -38,23 +38,22 @@ class ParamStore:
     def trainable_count(self) -> int:
         return sum(p.size for _, p in self.trainable_items())
 
-    def flatten(self, names: list) -> np.ndarray:
-        """Move the named tensors, in order, into one flat buffer whose
-        segments become their data; the same names again get the same one."""
+    def flatten(self, names: list) -> tuple:
+        """Move the named tensors' data and grads (zero if None), in order,
+        into two flat buffers that they then view; same names, same pair."""
         if self._flat[0] == names:
             return self._flat[1]
         tensors = [self._params[n] for n in names]
         buf = np.concatenate([t.data.ravel() for t in tensors] or [np.empty(0)])
+        grad = np.empty_like(buf)
         lo = 0
         for t in tensors:
             t.data = buf[lo:lo + t.size].reshape(t.shape)
+            grad[lo:lo + t.size] = 0 if t.grad is None else t.grad.ravel()
+            t.grad = grad[lo:lo + t.size].reshape(t.shape)
             lo += t.size
-        self._flat = (list(names), buf)
-        return buf
-
-    def zero_grads(self):
-        for p in self._params.values():
-            p.grad = None
+        self._flat = (list(names), (buf, grad))
+        return buf, grad
 
 
 def seeded_rng(*key) -> np.random.Generator:

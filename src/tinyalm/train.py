@@ -25,7 +25,7 @@ def batch_indices(step: int, batch_size: int, n: int) -> list:
 
 
 def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
-    model.store.zero_grads()
+    opt.zero_grad()
     rng = seeded_rng(model.cfg.seed, 70000 + step)
     with Tape() as tape:
         out = model.forward_batch(records, rng)
@@ -34,15 +34,15 @@ def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
             raise TrainAbort(f"non-finite loss at step {step}; first bad "
                              f"tensor came from op {culprit!r}")
         tape.backward(out.loss)
-    grad = opt.gather()
-    if not np.isfinite(grad).all():
-        name = next(n for n, g in opt.grads.items() if not np.isfinite(g).all())
+    if not np.isfinite(opt.gradient()).all():
+        name = next(n for n, p in opt.store.trainable_items()
+                    if not np.isfinite(p.grad).all())
         raise TrainAbort(f"non-finite gradient for {name} at step {step}; "
                          f"first op with a non-finite output: "
                          f"{tape.first_nonfinite()!r}")
     # the optimizer's config owns the schedule
     lr = lr_at(step, opt.cfg.total_steps, opt.cfg.lr, opt.cfg.warmup_ratio)
-    opt.step(lr, grad)
+    opt.step(lr)
     row = {"step": step, "lr": lr, "L": float(out.loss.data),
            "L_CE": float(out.loss_ce.data)}
     if out.sac is not None:

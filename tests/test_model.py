@@ -150,7 +150,6 @@ def test_cached_greedy_decode_matches_full_recompute():
 
 def test_gradients_reach_all_trainable_groups():
     cfg, model, recs = make()
-    model.store.zero_grads()
     with Tape() as tape:
         out = model.forward_batch(recs[:4], seeded_rng(0))
         tape.backward(out.loss)

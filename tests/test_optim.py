@@ -45,14 +45,16 @@ def test_adamw_single_scalar_matches_hand_formula():
     store = ParamStore()
     p = store.param("w", [[1.0]], np.float32)  # rank 2: decay applies
     opt = AdamW(store, cfg)
-    p.grad = np.array([[1.0]], dtype=np.float32)
+    opt.gradient()  # flattens the store: p.grad is now a zeroed view
+    p.grad[...] = np.array([[1.0]], dtype=np.float32)
     opt.step(cfg.lr)
     want = hand_adamw(1.0, 1.0, 5e-5, 0.9, 0.999, 1e-8, 1e-6, 1)
     np.testing.assert_allclose(p.data[0, 0], want, rtol=1e-6)
 
     # a few more steps with the same gradient
     for _ in range(4):
-        p.grad = np.array([[1.0]], dtype=np.float32)
+        opt.zero_grad()
+        p.grad[...] = np.array([[1.0]], dtype=np.float32)
         opt.step(cfg.lr)
     want = hand_adamw(1.0, 1.0, 5e-5, 0.9, 0.999, 1e-8, 1e-6, 5)
     np.testing.assert_allclose(p.data[0, 0], want, rtol=1e-5)
@@ -67,13 +69,18 @@ def test_decay_exemption_for_bias_and_query():
     opt = AdamW(store, cfg)
     assert opt.exempt == {"layer.bias", "qformer.query"}
 
-    # zero gradient: only decay can move parameters
-    for t in (mat, vec, q):
-        t.grad = np.zeros_like(t.data)
+    # zero gradient on the exempt tensors: only decay could move them. The
+    # decayed one gets a gradient, so its update must read it.
+    opt.gradient()
+    mat.grad[...] = 0.5
+    for t in (vec, q):
+        t.grad[...] = np.zeros_like(t.data)
     opt.step(0.1)
     assert np.all(mat.data < 1.0)
     np.testing.assert_array_equal(vec.data, np.ones(2, dtype=np.float32))
     np.testing.assert_array_equal(q.data, np.ones((1, 2), dtype=np.float32))
+    want = hand_adamw(1.0, 0.5, 0.1, 0.9, 0.999, 1e-8, cfg.weight_decay, 1)
+    np.testing.assert_allclose(mat.data, want, rtol=1e-6)
 
 
 def test_default_model_exempts_biases_gains_and_query():
@@ -93,10 +100,16 @@ def test_missing_gradient_treated_as_zero():
     store = ParamStore()
     p = store.param("w", np.full((2, 2), 3.0), np.float32)
     opt = AdamW(store, cfg)
-    p.grad = None
+    opt.gradient()
+    p.grad[...] = 1.0
+    opt.step(0.1)
+    assert np.all(p.data < 3.0 - 0.05)  # the gradient moved it, not decay alone
+    m1 = opt.m["w"].copy()
+    opt.zero_grad()  # no gradient this step: the last one must not be reused
     opt.step(0.1)  # decay-only movement, no crash
     assert np.all(p.data <= 3.0)
     assert np.all(np.isfinite(p.data))
+    np.testing.assert_array_equal(opt.m["w"], m1 * np.float32(cfg.adam_beta1))
 
 
 def test_updates_stay_float32():
@@ -104,10 +117,12 @@ def test_updates_stay_float32():
     store = ParamStore()
     p = store.param("w", np.ones((2, 2)), np.float32)
     opt = AdamW(store, cfg)
-    p.grad = np.full((2, 2), 0.5, dtype=np.float32)
+    opt.gradient()
+    p.grad[...] = np.full((2, 2), 0.5, dtype=np.float32)
     opt.step(1e-3)
     assert p.data.dtype == np.float32
     assert opt.m["w"].dtype == np.float32
+    np.testing.assert_allclose(opt.m["w"], 0.05, rtol=1e-6)  # (1 - b1) * g
 
 
 def per_tensor_step(params, grads, m, v, exempt, cfg, t, lr):
@@ -144,12 +159,15 @@ def test_flat_update_bit_identical_to_per_tensor_loop():
     params = {n: t.data.copy() for n, t in store.trainable_items()}
     m = {n: np.zeros_like(p) for n, p in params.items()}
     v = {n: np.zeros_like(p) for n, p in params.items()}
+    opt.gradient()
     for t in range(1, 6):
         grads = {n: (None if n == "d.w" else
                      rng.standard_normal(shapes[n]).astype(np.float32))
                  for n in shapes}
+        opt.zero_grad()
         for name, p in store.trainable_items():
-            p.grad = grads[name]
+            if grads[name] is not None:
+                p.grad[...] = grads[name]
         lr = 0.01 * t
         opt.step(lr)
         per_tensor_step(params, grads, m, v, opt.exempt, cfg, t, lr)
@@ -163,13 +181,39 @@ def test_second_optimizer_keeps_the_first_ones_parameters():
     model = Model(Config())
     first = AdamW(model.store, model.cfg)
     second = AdamW(model.store, model.cfg)
-    assert first.flat is None and first.grads == {}  # nothing before a step
+    first.zero_grad()  # no gradient yet: nothing to zero, nothing flattened
+    assert first.flat is None
+    first.gradient()
     for _, p in model.store.trainable_items():
-        p.grad = np.ones_like(p.data)
+        p.grad[...] = np.ones_like(p.data)
     first.step(1e-3)
     before = first.flat.copy()
-    second.step(1e-3)
-    assert second.flat is first.flat
-    assert not np.array_equal(first.flat, before)
+    second.step(1e-3)  # reads the gradient the first one was given
+    assert second.flat is first.flat and second.gradient() is first.gradient()
+    assert np.all(first.flat < before)  # a gradient of one lowers every entry
+    assert np.all(first.gradient() == 1.0)
     for name, p in model.store.trainable_items():
         assert np.shares_memory(p.data, first.flat), name
+        assert np.shares_memory(p.grad, first.gradient()), name
+
+
+def test_flattening_keeps_a_gradient_already_set():
+    # the first train step's backward runs before the store is flat, so
+    # flattening copies its gradients in; a stale one is zeroed in place
+    store = ParamStore()
+    a = store.param("a.w", np.ones((2, 3)), np.float32)
+    b = store.param("b.w", np.ones(4), np.float32)
+    opt = AdamW(store, Config())
+    a.grad = np.arange(6, dtype=np.float32).reshape(2, 3)
+    grad = opt.gradient()
+    np.testing.assert_array_equal(grad, [0, 1, 2, 3, 4, 5, 0, 0, 0, 0])
+    assert np.shares_memory(a.grad, grad) and np.shares_memory(b.grad, grad)
+    opt.zero_grad()
+    assert not grad.any() and opt.gradient() is grad
+
+    store = ParamStore()
+    stale = store.param("w", np.ones(3), np.float32)
+    stale.grad = np.ones(3, dtype=np.float32)
+    fresh = AdamW(store, Config())
+    fresh.zero_grad()  # a gradient is set, so this flattens and zeroes it
+    assert fresh.flat is not None and not stale.grad.any()

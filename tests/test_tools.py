@@ -1,7 +1,8 @@
 """The scripts under tools/ run outside the test suite, but they import
 tests/test_acceptance.py, perfbench/workload.py and the model API. Importing
 them here catches a moved or renamed name; their __main__ guards keep the
-import from running anything."""
+import from running anything. A short digest run exercises train_digest's
+body as well."""
 
 import importlib.util
 import sys
@@ -38,3 +39,11 @@ def test_train_digest_imports():
     assert callable(tool.main)
     for name, _ in tool.RUNS:
         Config(**tool.WORKLOADS[name].config).validate()
+
+
+def test_train_digest_runs_and_repeats():
+    # runs the tool's body, so a change to the training API breaks it here
+    tool = import_tool("train_digest")
+    lines = tool.digest("train-default", 2)
+    assert len(lines) == 5 and lines[0].startswith("train-default steps 2 last loss ")
+    assert tool.digest("train-default", 2) == lines

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from tinyalm.autodiff import Tape
+from tinyalm.checks import model_check_config
 from tinyalm.config import Config
 from tinyalm.data import gen_dataset
+from tinyalm.gradcheck import grad_check
 from tinyalm.model import Model
 from tinyalm.optim import AdamW, lr_at
+from tinyalm.params import seeded_rng
 from tinyalm.train import (TrainAbort, batch_indices, evaluate,
                            format_log_row, run_training, train_step)
 
@@ -156,3 +159,24 @@ def test_evaluate_skips_saclm_on_singleton_tail():
     m = evaluate(model, recs)  # batches of 4 and 1; the 1 must not crash
     assert m["n"] == 5
     assert np.isfinite(m["mean_L_CE"])
+
+
+def test_grad_check_between_steps_leaves_training_unchanged():
+    # grad_check zeroes gradients in place; one that rebound them would cut
+    # the checked tensors off the optimizer's flat gradient
+    cfg = model_check_config()
+    recs = gen_dataset(cfg, 0, 2)
+
+    def run(check):
+        model = Model(cfg)
+        opt = AdamW(model.store, cfg)
+        train_step(model, opt, recs, 0)
+        if check:
+            small = {n: p for n, p in model.store.trainable_items() if p.size <= 16}
+            assert len(small) >= 3
+            grad_check(lambda: model.forward_batch(recs, seeded_rng(4)).loss, small)
+        loss = train_step(model, opt, recs, 1)["L"]
+        state = [t.data.tobytes() for _, t in model.store.items()]
+        return loss, state, [opt.m[n].tobytes() + opt.v[n].tobytes() for n in opt.m]
+
+    assert run(check=True) == run(check=False)
