@@ -6,6 +6,7 @@ closure). Tape.backward replays the nodes in strictly reverse append order,
 accumulating gradients additively whenever a tensor feeds several consumers.
 Gradients are added in place only into the `grad` of leaf tensors created
 with requires_grad=True; all else gets gradient transiently or not at all.
+A tape is single use: backward frees each node as it replays it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class Tape:
     def __init__(self):
         self.nodes = []          # (op_name, inputs, output, backward_fn)
         self._produced = set()   # id() of every output recorded on this tape
+        self._spent = False      # set by backward, which consumes the nodes
         self._outer = None
 
     def __enter__(self):
@@ -52,6 +54,10 @@ class Tape:
         self.nodes.append((op, inputs, out, backward))
         self._produced.add(id(out))
 
+    def _check_unspent(self):
+        if self._spent:
+            raise RuntimeError("tape was already replayed; record a new one")
+
     def backward(self, root: "Tensor"):
         """Propagate d(root)/d(leaf) into every requires_grad leaf.
 
@@ -60,7 +66,11 @@ class Tape:
         consumer of a tensor has already deposited its contribution by the
         time the producing node is replayed. Leaf contributions add in place
         into `grad` (zeros when None): their direct sums, but a lone -0.0 is +0.0.
+        Each node is popped, freeing its output, inputs and closure before
+        earlier nodes run; the spent tape raises RuntimeError if used again.
         """
+        self._check_unspent()
+        self._spent = True
         interior = {}
 
         def send(t, g):
@@ -74,16 +84,19 @@ class Tape:
             # constants (requires_grad=False, not produced here) get nothing
 
         send(root, np.ones_like(root.data))
-        for _op, inputs, out, backward in reversed(self.nodes):
+        while self.nodes:
+            _op, inputs, out, backward = self.nodes.pop()
             g = interior.pop(id(out), None)
             if g is None:
                 continue
             for t, gt in zip(inputs, backward(g)):
                 if gt is not None:
                     send(t, gt)
+        self._produced.clear()
 
     def first_nonfinite(self):
         """Name of the earliest op whose output has a non-finite entry."""
+        self._check_unspent()
         for op, _inputs, out, _backward in self.nodes:
             if not np.all(np.isfinite(out.data)):
                 return op
@@ -415,12 +428,16 @@ def slice_(a, key):
     a = _as_tensor(a)
     out = Tensor(a.data[key])
     na = _tracked(a)
+    basic = all(type(k) in (slice, int) for k in (key if isinstance(key, tuple) else (key,)))
 
     def backward(g):
         if not na:
             return (None,)
         ga = np.zeros_like(a.data)
-        np.add.at(ga, key, g)
+        if basic:  # slices and ints repeat no index: np.add.at's bytes, in place
+            ga[key] += g
+        else:
+            np.add.at(ga, key, g)
         return (ga,)
 
     _maybe_record("slice", (a,), out, backward)
@@ -545,8 +562,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     c = xd - mu
     var = (c * c).sum(axis=-1, keepdims=True) / n
     r = np.sqrt(var + var.dtype.type(eps))
-    inv = c / r
-    scaled = inv * gain.data
+    scaled = (c / r) * gain.data  # backward recomputes c / r instead of keeping it
     out = Tensor(scaled + bias.data)
     scaled_shape, nx, ng, nbias = scaled.shape, _tracked(x), _tracked(gain), _tracked(bias)
 
@@ -556,10 +572,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     def backward(g):
         gb = _unbroadcast(g, bias.data.shape) if nbias else None
         g = _unbroadcast(g, scaled_shape)
-        gg = _unbroadcast(g * inv, gain.data.shape) if ng else None
+        gg = _unbroadcast(g * (c / r), gain.data.shape) if ng else None
         if not nx:
             return None, None, gg, gb
-        g = _unbroadcast(g * gain.data, inv.shape)
+        g = _unbroadcast(g * gain.data, c.shape)
         g_r = _unbroadcast(-g * c / (r * r), r.shape)
         g_cc = mean_grad(g_r / (2.0 * np.where(r > 0, r, np.inf))) * c
         g_c = g / r + g_cc + g_cc  # c feeds the div, then c * c twice
@@ -587,6 +603,7 @@ def attention(q, k, v, allowed=None, heads=1):
     swap = tuple(range(kd.ndim - 2)) + (kd.ndim - 1, kd.ndim - 2)
     kt = kd.transpose(swap)
     m = np.matmul(qd, kt)
+    m_shape = m.shape  # all backward reads of the scores
     c = np.asarray(1.0 / np.sqrt(kd.shape[-1]), dtype=m.dtype)
     x = m * c
     if allowed is not None:
@@ -601,7 +618,7 @@ def attention(q, k, v, allowed=None, heads=1):
         gq = gk = None
         if tq or tk:
             gx = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-            gq, gk = _matmul_grads(_unbroadcast(gx, m.shape) * c, qd, kt, tq, tk)
+            gq, gk = _matmul_grads(_unbroadcast(gx, m_shape) * c, qd, kt, tq, tk)
             gk = gk.transpose(swap) if tk else None
         gv, gq, gk = (None if t is None else merge(t) for t in (gv, gq, gk))
         return (gv, gq, gk) if heads == 1 else (gv, gk, gq)

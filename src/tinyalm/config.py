@@ -130,6 +130,9 @@ class Config:
         return np.float64 if self.dtype == "float64" else np.float32
 
     def validate(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("lm_heads", "n_queries", "window_frames", "frames_per_token",
                      "samples_per_frame", "batch_size", "min_tokens", "enc1_window",
                      "enc1_stride", "enc2_window", "enc2_stride", "enc3_window",

@@ -68,8 +68,9 @@ class AdamW:
 
     def gradient(self) -> np.ndarray:
         """The flat gradient the trainables' grads view. The first call
-        flattens the store; made after the first backward, it puts both
-        buffers atop the heap that step grew, so glibc stops trimming it."""
+        flattens the store; made between the first forward and its backward,
+        which frees the tape, it puts both buffers atop the heap that forward
+        grew, so glibc stops trimming it."""
         if self.flat is None:
             self.flat, self._grad = self.store.flatten(self._order)
             self._scratch = np.empty((2, min(_CHUNK, self.flat.size)), self.flat.dtype)

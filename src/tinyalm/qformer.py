@@ -81,11 +81,14 @@ class WindowQFormer:
                                               matmul(h, self.self_wv)),
                                     self.self_wo))
 
-        q_cross = matmul(layer_norm(q1, *self.cross_ln), self.cross_wq)
-        attended = matmul(attention(q_cross, matmul(u_w, self.cross_wk),
-                                    matmul(u_w, self.cross_wv),
-                                    allowed=(mask_w > 0)[:, None, :]),
-                          self.cross_wo)
+        if w_len > 1:
+            ctx = attention(matmul(layer_norm(q1, *self.cross_ln), self.cross_wq),
+                            matmul(u_w, self.cross_wk), matmul(u_w, self.cross_wv),
+                            allowed=(mask_w > 0)[:, None, :])
+        else:  # one key per window weighs exactly 1: p @ v with p = 1; q and k get 0
+            ctx = matmul(Tensor(np.ones((batch * n_win, n_q, 1), dtype=dt)),
+                         matmul(u_w, self.cross_wv))
+        attended = matmul(ctx, self.cross_wo)
         # empty windows contribute nothing: the self-attended query passes through
         q2 = add(q1, mul(attended, Tensor(has_valid[:, None, None])))
 

@@ -26,20 +26,26 @@ def batch_indices(step: int, batch_size: int, n: int) -> list:
 
 def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
     opt.zero_grad()
-    rng = seeded_rng(model.cfg.seed, 70000 + step)
+
+    def forward():  # deterministic: same parameters, records and rng
+        return model.forward_batch(records, seeded_rng(model.cfg.seed, 70000 + step))
+
     with Tape() as tape:
-        out = model.forward_batch(records, rng)
+        out = forward()
         if not np.isfinite(out.loss.data):
             culprit = tape.first_nonfinite()
             raise TrainAbort(f"non-finite loss at step {step}; first bad "
                              f"tensor came from op {culprit!r}")
+        opt.gradient()  # the first call flattens, atop the heap this forward grew
         tape.backward(out.loss)
     if not np.isfinite(opt.gradient()).all():
         name = next(n for n, p in opt.store.trainable_items()
                     if not np.isfinite(p.grad).all())
+        with Tape() as replay:  # backward consumed the step's tape
+            forward()
         raise TrainAbort(f"non-finite gradient for {name} at step {step}; "
                          f"first op with a non-finite output: "
-                         f"{tape.first_nonfinite()!r}")
+                         f"{replay.first_nonfinite()!r}")
     # the optimizer's config owns the schedule
     lr = lr_at(step, opt.cfg.total_steps, opt.cfg.lr, opt.cfg.warmup_ratio)
     opt.step(lr)

@@ -184,6 +184,19 @@ def test_negative_total_steps_is_usage_error(workdir, capsys):
     assert "Traceback" not in err
 
 
+def test_infinite_lr_is_usage_error(workdir, capsys):
+    # an infinite lr used to pass validation and abort at step 1 on a NaN loss
+    root, cfg, data = workdir
+    bad = root / "bad.txt"
+    bad.write_text(SMALL.replace("lr = 0.001", "lr = inf"))
+    rc = main(["train", "--config", str(bad), "--data", str(data),
+               "--out-dir", str(root / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "lr must be finite, got inf" in err
+    assert not (root / "x").exists()
+
+
 def test_spec_mismatch_is_usage_error(workdir, capsys):
     root, cfg, data = workdir
     other = root / "other.txt"

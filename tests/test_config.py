@@ -125,6 +125,24 @@ def test_validate_rejects_range_gaps(over, match):
         Config(**over).validate()
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(Config) if f.type in ("float", float)]
+
+
+def test_float_fields_cover_the_unbounded_ones():
+    assert {"lr", "weight_decay", "margin", "lambda_sparsity", "adam_eps",
+            "eps_norm", "eps_agg"} <= set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_validate_rejects_nonfinite_floats(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        Config(**{name: value}).validate()
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        parse_config(f"{name} = {value}\n")
+
+
 def test_validate_rejects_token_ids_beyond_u8():
     # ids run to vocab_symbols + 2 (PAD) and the dataset stores them as u8
     Config(vocab_symbols=253).validate()

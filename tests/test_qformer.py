@@ -3,6 +3,7 @@ import pytest
 
 from test_fused_ops import attention_weights, spy_attention
 
+from tinyalm import autodiff as ad
 from tinyalm import qformer
 from tinyalm.autodiff import Tape, Tensor, linear, mul, sum_
 from tinyalm.config import Config
@@ -140,6 +141,57 @@ def test_gradient_reaches_query():
     assert g is not None and np.any(g != 0.0)
     for name, t in store.trainable_items():
         assert t.grad is not None, name
+
+
+def w1_reference(qf, u, mask):
+    """The Q-Former forward with one frame per window, its cross-attention
+    run through ad.attention over the one key of each window."""
+    batch, t, d = u.shape
+    u_w = ad.reshape(u, (batch * t, 1, d))
+    mask_w = mask.reshape(batch * t, 1)
+    has_valid = (mask_w.sum(axis=1) > 0).astype(u.dtype)
+    h = ad.layer_norm(qf.query, *qf.self_ln)
+    q1 = ad.add(qf.query, ad.matmul(ad.attention(ad.matmul(h, qf.self_wq),
+                                                 ad.matmul(h, qf.self_wk),
+                                                 ad.matmul(h, qf.self_wv)),
+                                    qf.self_wo))
+    q_cross = ad.matmul(ad.layer_norm(q1, *qf.cross_ln), qf.cross_wq)
+    attended = ad.matmul(ad.attention(q_cross, ad.matmul(u_w, qf.cross_wk),
+                                      ad.matmul(u_w, qf.cross_wv),
+                                      allowed=(mask_w > 0)[:, None, :]),
+                         qf.cross_wo)
+    q2 = ad.add(q1, ad.mul(attended, Tensor(has_valid[:, None, None])))
+    return ad.reshape(ad.layer_norm(q2, *qf.out_ln), (batch, t * qf.n_queries, d))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n_queries", [1, 2])
+def test_one_frame_windows_match_the_attention_reference(n_queries, dtype):
+    rng = seeded_rng(12)
+    u0 = rng.standard_normal((2, 5, 16))
+    mask = np.ones((2, 5))
+    mask[1, 2] = 0.0  # one empty window
+    probe = rng.standard_normal((2, 5 * n_queries, 16))
+
+    def run(forward):
+        cfg, store, qf = make_qf(d_model=16, window_frames=1, n_queries=n_queries,
+                                 dtype=dtype)
+        u = Tensor(u0, requires_grad=True, dtype=cfg.np_dtype)
+        with Tape() as tape:
+            z = forward(qf, u, mask.astype(cfg.np_dtype))
+            tape.backward(sum_(mul(z, Tensor(probe, dtype=cfg.np_dtype))))
+        grads = {n: t.grad for n, t in store.trainable_items()}
+        return z.data, dict(grads, u=u.grad)
+
+    z, grads = run(lambda qf, u, mask: qf.forward(u, mask).values)
+    z_ref, ref = run(w1_reference)
+    skipped = {f"qformer.{n}" for n in ("cross_ln.gain", "cross_ln.bias",
+                                        "cross.wq", "cross.wk")}
+    assert {n for n, g in grads.items() if g is None} == skipped
+    assert all(not ref[n].any() for n in skipped)  # exactly 0 in the reference
+    pairs = [(z, z_ref)] + [(grads[n], ref[n]) for n in ref if n not in skipped]
+    for got, want in pairs:  # the skipped path added exact zeros: same bytes
+        assert got.dtype == np.dtype(dtype) and got.tobytes() == want.tobytes()
 
 
 def input_proj(model):

@@ -1,5 +1,7 @@
 """Tape mechanics: accumulation, ordering, and gradient hygiene."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -68,13 +70,34 @@ def test_constant_subgraph_not_recorded():
     np.testing.assert_allclose(live.grad, c.data)
 
 
-def test_backward_twice_accumulates_into_leaf():
+def test_backward_consumes_the_tape():
     x = Tensor(np.array([1.5]), requires_grad=True)
     with Tape() as tape:
         y = ad.sum_(ad.mul(x, x))
     tape.backward(y)
+    np.testing.assert_allclose(x.grad, [3.0])
+    assert tape.nodes == [] and not tape._produced
+    for reuse in (lambda: tape.backward(y), tape.first_nonfinite):
+        with pytest.raises(RuntimeError, match="already replayed"):
+            reuse()
+    np.testing.assert_allclose(x.grad, [3.0])  # nothing accumulated again
+
+
+def test_backward_frees_each_node_before_earlier_ones_run():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    with Tape() as tape:
+        first = ad.mul(x, 2.0)
+        interior = ad.mul(first, 3.0)
+        y = ad.sum_(interior)
+    ref = weakref.ref(interior.data)
+    del interior  # from here only the tape holds the array
+    seen = []
+    op, inputs, out, backward = tape.nodes[0]
+    tape.nodes[0] = (op, inputs, out,
+                     lambda g: (seen.append(ref() is None), backward(g))[1])
     tape.backward(y)
-    np.testing.assert_allclose(x.grad, [6.0])  # 2 * (2x)
+    assert seen == [True]
+    np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
 def test_first_nonfinite_reports_earliest_op():

@@ -184,6 +184,30 @@ def test_embedding_lookup_gradient_scatter_adds():
     np.testing.assert_array_equal(table.grad, want)
 
 
+BASIC_KEYS = [slice(1, 4), slice(None, None, 2), slice(-3, None), 2, -1,
+              np.int64(3), (slice(None), slice(-4, -1, 2)),
+              (1, slice(None, None, -1)), (slice(1, 5, 3), -2, slice(None)),
+              (-1, 2, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("key", BASIC_KEYS, ids=[repr(k) for k in BASIC_KEYS])
+def test_slice_basic_key_backward_bytes_match_add_at(key, dtype):
+    # slices and ints repeat no index, so adding in place into zeros gives
+    # the bytes np.add.at gives, a -0.0 upstream entry included
+    rng = seeded_rng(11)
+    a = Tensor(rng.standard_normal((5, 6, 4)).astype(dtype), requires_grad=True)
+    with Tape() as tape:
+        out = ad.slice_(a, key)
+    (_, _, _, backward), = tape.nodes
+    g = rng.standard_normal(out.shape).astype(dtype)
+    g.reshape(-1)[::3] = -0.0
+    want = np.zeros_like(a.data)
+    np.add.at(want, key, g)
+    got, = backward(g)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------- cosine_distance
 
 def test_cosine_distance_identical_vectors():

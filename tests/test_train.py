@@ -104,6 +104,48 @@ def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
     assert all(not opt.m[n].any() and not opt.v[n].any() for n in opt.m)
 
 
+def test_nonfinite_gradient_abort_names_first_nonfinite_forward_op(monkeypatch):
+    # a -inf score bias leaves one hidden column of the SACLM score MLP at
+    # -inf, which relu maps to 0: the loss stays finite, the linear's output
+    # does not. backward consumed the step's tape, so the abort replays the
+    # forward to name that op.
+    _, model, recs, opt = setup(total_steps=2, batch_size=4)
+    model.saclm.score_b1.data[0] = -np.inf
+    real_record = Tape._record
+
+    def poison_relu(self, op, inputs, out, backward):
+        if op == "relu":
+            real_backward = backward
+
+            def backward(g):
+                return tuple(None if x is None else np.full_like(x, np.nan)
+                             for x in real_backward(g))
+        real_record(self, op, inputs, out, backward)
+
+    monkeypatch.setattr(Tape, "_record", poison_relu)
+    with pytest.raises(TrainAbort, match="non-finite gradient for "
+                                         r"\S+ at step 0; .* output: 'linear'$"):
+        train_step(model, opt, recs[:4], 0)
+    assert opt.step_count == 0
+
+
+def test_first_step_flattens_before_backward_frees_the_tape(monkeypatch):
+    # flattened between the forward and the consuming backward, the store's
+    # buffers sit atop the heap the forward grew, so the activations the
+    # backward frees lie below them and glibc does not trim and re-fault them
+    _, model, recs, opt = setup(total_steps=2, batch_size=4)
+    real_backward = Tape.backward
+    flat_at_backward = []
+
+    def backward(self, root):
+        flat_at_backward.append(opt.flat is not None)
+        real_backward(self, root)
+
+    monkeypatch.setattr(Tape, "backward", backward)
+    train_step(model, opt, recs[:4], 0)
+    assert flat_at_backward == [True]
+
+
 def test_disable_saclm_trains_on_pure_ce():
     _, model, recs, opt = setup(total_steps=3, batch_size=4, ablate="saclm")
     rows = run_training(model, opt, recs)
