@@ -1,16 +1,28 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
 Tensors wrap numpy arrays. While a Tape is active, every primitive that
-touches a tracked tensor appends one node (op name, inputs, output, backward
-closure). Tape.backward replays the nodes in strictly reverse append order,
+touches a tracked tensor appends one node (op name, input refs, output
+record, backward closure). An input ref is the leaf Tensor for an input
+with requires_grad, the index of the node that produced an interior input,
+or None for a constant; the output record keeps the output's shape, dtype
+and byte count, not its values. A Tensor carries the serial of the tape
+and the index of the node that produced it, so the tape holds no interior
+Tensor, and each closure keeps only the arrays its backward reads for the
+inputs being tracked: an activation that feeds only frozen weights is freed
+as soon as the forward drops it. Off the tape, a primitive keeps nothing.
+
+Tape.backward replays the nodes in strictly reverse append order,
 accumulating gradients additively whenever a tensor feeds several consumers.
 Gradients are added in place only into the `grad` of leaf tensors created
 with requires_grad=True; all else gets gradient transiently or not at all.
-A tape is single use: backward frees each node as it replays it.
+A tape is single use: backward frees each node as it replays it. No node
+keeps an output's values, so `first_nonfinite` names the first op with a
+non-finite output by replaying a forward on a tape that checks each one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,17 +37,32 @@ class ShapeError(ValueError):
 
 
 _TAPE: "Tape | None" = None
+_SERIALS = itertools.count()  # one per tape, and per spent tape: never reused
 
 # the dtypes a Tensor keeps; anything else is cast to float64
 _FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+
+
+class _Output:
+    """What a node keeps of its output: shape, dtype and byte count. Like
+    the Tensor it stands for, it answers `.data.nbytes`."""
+
+    __slots__ = ("shape", "dtype", "nbytes")
+
+    def __init__(self, a: np.ndarray):
+        self.shape, self.dtype, self.nbytes = a.shape, a.dtype, a.nbytes
+
+    @property
+    def data(self):
+        return self
 
 
 class Tape:
     """Ordered record of primitive applications for one forward pass."""
 
     def __init__(self):
-        self.nodes = []          # (op_name, inputs, output, backward_fn)
-        self._produced = set()   # id() of every output recorded on this tape
+        self.nodes = []          # (op_name, input refs, _Output, backward_fn)
+        self._serial = next(_SERIALS)  # carried by each Tensor produced here
         self._spent = False      # set by backward, which consumes the nodes
         self._outer = None
 
@@ -50,63 +77,87 @@ class Tape:
         _TAPE = self._outer
         return False
 
-    def _record(self, op, inputs, out, backward):
-        self.nodes.append((op, inputs, out, backward))
-        self._produced.add(id(out))
+    def _ref(self, t: "Tensor"):
+        """A node's reference to input t: t itself if it has requires_grad,
+        else the index of the node here that produced it, else None."""
+        if t.requires_grad:
+            return t
+        return t._node if t._tape == self._serial else None
 
-    def _check_unspent(self):
-        if self._spent:
-            raise RuntimeError("tape was already replayed; record a new one")
+    def _record(self, op, inputs, out, backward):
+        refs = list(map(self._ref, inputs))
+        out._tape, out._node = self._serial, len(self.nodes)
+        self.nodes.append((op, refs, _Output(out.data), backward))
 
     def backward(self, root: "Tensor"):
         """Propagate d(root)/d(leaf) into every requires_grad leaf.
 
         root is usually a scalar loss; for non-scalars the seed gradient is
         all-ones. Traversal is strictly reverse append order, so every
-        consumer of a tensor has already deposited its contribution by the
-        time the producing node is replayed. Leaf contributions add in place
-        into `grad` (zeros when None): their direct sums, but a lone -0.0 is +0.0.
-        Each node is popped, freeing its output, inputs and closure before
-        earlier nodes run; the spent tape raises RuntimeError if used again.
+        consumer of a node's output has already deposited its contribution
+        by the time that node is replayed; interior gradients are keyed by
+        node index. Leaf contributions add in place into `grad` (zeros when
+        None): their direct sums, but a lone -0.0 is +0.0. A node holds its
+        input refs, a shape record of its output and a closure over only the
+        arrays its backward reads; each is popped before earlier nodes run.
+        The spent tape raises RuntimeError if replayed again, and nothing
+        produced on it counts as tracked any more.
         """
-        self._check_unspent()
+        if self._spent:
+            raise RuntimeError("tape was already replayed; record a new one")
         self._spent = True
         interior = {}
 
-        def send(t, g):
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
-            elif id(t) in self._produced:
-                prev = interior.get(id(t))
-                interior[id(t)] = g if prev is None else prev + g
-            # constants (requires_grad=False, not produced here) get nothing
+        def send(ref, g):
+            if type(ref) is int:
+                prev = interior.get(ref)
+                interior[ref] = g if prev is None else prev + g
+            elif ref is not None:  # a leaf with requires_grad
+                if ref.grad is None:
+                    ref.grad = np.zeros_like(ref.data)
+                ref.grad += g
+            # constants (None) get nothing
 
-        send(root, np.ones_like(root.data))
-        while self.nodes:
-            _op, inputs, out, backward = self.nodes.pop()
-            g = interior.pop(id(out), None)
+        send(self._ref(root), np.ones_like(root.data))
+        nodes = self.nodes
+        while nodes:
+            _op, refs, _out, backward = nodes.pop()
+            g = interior.pop(len(nodes), None)
             if g is None:
                 continue
-            for t, gt in zip(inputs, backward(g)):
+            for ref, gt in zip(refs, backward(g)):
                 if gt is not None:
-                    send(t, gt)
-        self._produced.clear()
+                    send(ref, gt)
+        self._serial = next(_SERIALS)
 
-    def first_nonfinite(self):
-        """Name of the earliest op whose output has a non-finite entry."""
-        self._check_unspent()
-        for op, _inputs, out, _backward in self.nodes:
-            if not np.all(np.isfinite(out.data)):
-                return op
-        return None
+
+class _NonfiniteWatch(Tape):
+    """A tape that notes the first op whose output has a non-finite entry."""
+
+    culprit = None
+
+    def _record(self, op, inputs, out, backward):
+        super()._record(op, inputs, out, backward)
+        if self.culprit is None and not np.all(np.isfinite(out.data)):
+            self.culprit = op
+
+
+def first_nonfinite(forward):
+    """Name of the earliest op whose output has a non-finite entry when
+    forward() runs on a fresh tape, or None. No tape keeps output values,
+    so a diagnosis replays the forward: it must repeat the one diagnosed
+    (same parameters, inputs and rng)."""
+    with _NonfiniteWatch() as tape:
+        forward()
+    return tape.culprit
 
 
 class Tensor:
-    """Dense n-d value: row-major numpy array plus gradient bookkeeping."""
+    """Dense n-d value: row-major numpy array plus gradient bookkeeping.
+    A Tensor produced on a tape carries that tape's serial and its node's
+    index, not the tape itself."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -115,6 +166,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._tape = self._node = None
 
     @property
     def shape(self):
@@ -148,11 +200,21 @@ def _as_tensor(x, like=None):
 
 
 def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or (_TAPE is not None and id(t) in _TAPE._produced)
+    return t.requires_grad or (_TAPE is not None and t._tape == _TAPE._serial)
+
+
+def _recording(*ts):
+    """The tracked flag of each of ts if the active tape records an op on
+    them, else None: then the primitive builds no closure state at all."""
+    if _TAPE is not None:
+        flags = [_tracked(t) for t in ts]
+        if True in flags:
+            return flags
+    return None
 
 
 def _maybe_record(op, inputs, out, backward):
-    if _TAPE is not None and any(_tracked(t) for t in inputs):
+    if _TAPE is not None and any(map(_tracked, inputs)):
         _TAPE._record(op, inputs, out, backward)
 
 
@@ -177,13 +239,15 @@ def add(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = Tensor(a.data + b.data)
-    na, nb = _tracked(a), _tracked(b)
+    tracked = _recording(a, b)
+    if tracked:
+        (na, nb), sa, sb = tracked, a.shape, b.shape
 
-    def backward(g):
-        return (_unbroadcast(g, a.data.shape) if na else None,
-                _unbroadcast(g, b.data.shape) if nb else None)
+        def backward(g):
+            return (_unbroadcast(g, sa) if na else None,
+                    _unbroadcast(g, sb) if nb else None)
 
-    _maybe_record("add", (a, b), out, backward)
+        _maybe_record("add", (a, b), out, backward)
     return out
 
 
@@ -191,13 +255,15 @@ def sub(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = Tensor(a.data - b.data)
-    na, nb = _tracked(a), _tracked(b)
+    tracked = _recording(a, b)
+    if tracked:
+        (na, nb), sa, sb = tracked, a.shape, b.shape
 
-    def backward(g):
-        return (_unbroadcast(g, a.data.shape) if na else None,
-                _unbroadcast(-g, b.data.shape) if nb else None)
+        def backward(g):
+            return (_unbroadcast(g, sa) if na else None,
+                    _unbroadcast(-g, sb) if nb else None)
 
-    _maybe_record("sub", (a, b), out, backward)
+        _maybe_record("sub", (a, b), out, backward)
     return out
 
 
@@ -206,13 +272,16 @@ def mul(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = Tensor(a.data * b.data)
-    na, nb = _tracked(a), _tracked(b)
+    tracked = _recording(a, b)
+    if tracked:
+        (na, nb), sa, sb = tracked, a.shape, b.shape
+        ad, bd = a.data if nb else None, b.data if na else None  # each for the other
 
-    def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if na else None,
-                _unbroadcast(g * a.data, b.data.shape) if nb else None)
+        def backward(g):
+            return (_unbroadcast(g * bd, sa) if na else None,
+                    _unbroadcast(g * ad, sb) if nb else None)
 
-    _maybe_record("mul", (a, b), out, backward)
+        _maybe_record("mul", (a, b), out, backward)
     return out
 
 
@@ -220,26 +289,25 @@ def div(a, b):
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = Tensor(a.data / b.data)
-    na, nb = _tracked(a), _tracked(b)
+    tracked = _recording(a, b)
+    if tracked:
+        (na, nb), sa, sb = tracked, a.shape, b.shape
+        ad, bd = a.data if nb else None, b.data
 
-    def backward(g):
-        return (_unbroadcast(g / b.data, a.data.shape) if na else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if nb else None)
+        def backward(g):
+            return (_unbroadcast(g / bd, sa) if na else None,
+                    _unbroadcast(-g * ad / (bd * bd), sb) if nb else None)
 
-    _maybe_record("div", (a, b), out, backward)
+        _maybe_record("div", (a, b), out, backward)
     return out
 
 
 def relu(a):
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0))
-    na = _tracked(a)
-
-    def backward(g):
-        # subgradient at 0 is 0
-        return (g * (a.data > 0) if na else None,)
-
-    _maybe_record("relu", (a,), out, backward)
+    if _recording(a):
+        mask = a.data > 0  # subgradient at 0 is 0
+        _maybe_record("relu", (a,), out, lambda g: (g * mask,))
     return out
 
 
@@ -251,12 +319,8 @@ def sigmoid(a):
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(x.dtype, copy=False)
     out = Tensor(s)
-    na = _tracked(a)
-
-    def backward(g):
-        return (g * s * (1.0 - s) if na else None,)
-
-    _maybe_record("sigmoid", (a,), out, backward)
+    if _recording(a):
+        _maybe_record("sigmoid", (a,), out, lambda g: (g * s * (1.0 - s),))
     return out
 
 
@@ -280,14 +344,13 @@ def _restore_axes(g, src_shape, axis, keepdims):
 def sum_(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    na = _tracked(a)
+    if _recording(a):
+        shape, dtype = a.shape, a.dtype
 
-    def backward(g):
-        if not na:
-            return (None,)
-        return (_restore_axes(g, a.data.shape, axis, keepdims).astype(a.dtype, copy=False).copy(),)
+        def backward(g):
+            return (_restore_axes(g, shape, axis, keepdims).astype(dtype, copy=False).copy(),)
 
-    _maybe_record("sum", (a,), out, backward)
+        _maybe_record("sum", (a,), out, backward)
     return out
 
 
@@ -301,15 +364,14 @@ def mean(a, axis=None, keepdims=False):
         axis if isinstance(axis, tuple) else (axis,))
     n = math.prod(a.data.shape[ax] for ax in axes)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims) / n)
-    na = _tracked(a)
+    if _recording(a):
+        shape, dtype = a.shape, a.dtype
 
-    def backward(g):
-        if not na:
-            return (None,)
-        spread = _restore_axes(g, a.data.shape, axis, keepdims)
-        return ((spread / n).astype(a.dtype, copy=False),)
+        def backward(g):
+            spread = _restore_axes(g, shape, axis, keepdims)
+            return ((spread / n).astype(dtype, copy=False),)
 
-    _maybe_record("mean", (a,), out, backward)
+        _maybe_record("mean", (a,), out, backward)
     return out
 
 
@@ -327,30 +389,38 @@ def _matmul_operands(a, b):
     return a, b
 
 
-def _matmul_grads(g, a, b, na, nb):
-    """(d a, d b) of the arrays' product a @ b, None where not wanted. A rank-2
-    operand shared by every batch entry of the other contracts the batch axes
-    in one GEMM."""
-    ga = gb = None
-    if na:
-        if a.ndim == 2 and b.ndim > 2:
-            batch_and_n = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
-            ga = np.tensordot(g, b, axes=(batch_and_n, batch_and_n))
-        else:
-            ga = _unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a.shape)
-    if nb:
-        if b.ndim == 2 and a.ndim > 2:
-            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b.shape)
-    return ga, gb
+def _matmul_grads(a, b, na, nb):
+    """Backward of the arrays' product a @ b: g -> (d a, d b), None where
+    not wanted (na, nb). It keeps b only for d a and a only for d b. A
+    rank-2 operand shared by every batch entry of the other contracts the
+    batch axes in one GEMM."""
+    a_shape, b_shape = a.shape, b.shape
+    a, b = a if nb else None, b if na else None
+
+    def grads(g):
+        ga = gb = None
+        if na:
+            if len(a_shape) == 2 and b.ndim > 2:
+                batch_and_n = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
+                ga = np.tensordot(g, b, axes=(batch_and_n, batch_and_n))
+            else:
+                ga = _unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a_shape)
+        if nb:
+            if len(b_shape) == 2 and a.ndim > 2:
+                gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b_shape)
+        return ga, gb
+
+    return grads
 
 
 def matmul(a, b):
     a, b = _matmul_operands(a, b)
     out = Tensor(np.matmul(a.data, b.data))
-    na, nb = _tracked(a), _tracked(b)
-    _maybe_record("matmul", (a, b), out, lambda g: _matmul_grads(g, a.data, b.data, na, nb))
+    tracked = _recording(a, b)
+    if tracked:
+        _maybe_record("matmul", (a, b), out, _matmul_grads(a.data, b.data, *tracked))
     return out
 
 
@@ -361,42 +431,40 @@ def linear(x, w, b):
     b = _as_tensor(b, like=x)
     y = np.matmul(x.data, w.data)
     out = Tensor(y + b.data)
-    y_shape, nx, nw, nbias = y.shape, _tracked(x), _tracked(w), _tracked(b)
+    tracked = _recording(x, w, b)
+    if tracked:
+        nx, nw, nbias = tracked
+        y_shape, b_shape, xw = y.shape, b.shape, _matmul_grads(x.data, w.data, nx, nw)
 
-    def backward(g):
-        return (*_matmul_grads(_unbroadcast(g, y_shape), x.data, w.data, nx, nw),
-                _unbroadcast(g, b.data.shape) if nbias else None)
+        def backward(g):
+            return (*xw(_unbroadcast(g, y_shape)),
+                    _unbroadcast(g, b_shape) if nbias else None)
 
-    _maybe_record("linear", (x, w, b), out, backward)
+        _maybe_record("linear", (x, w, b), out, backward)
     return out
 
 
 def transpose(a, axes=None):
     a = _as_tensor(a)
     out = Tensor(a.data.transpose(axes))
-    na = _tracked(a)
+    if _recording(a):
 
-    def backward(g):
-        if not na:
-            return (None,)
-        if axes is None:
-            return (g.transpose(),)
-        n = len(axes)
-        return (g.transpose(sorted(range(n), key=lambda i: axes[i] % n)),)
+        def backward(g):
+            if axes is None:
+                return (g.transpose(),)
+            n = len(axes)
+            return (g.transpose(sorted(range(n), key=lambda i: axes[i] % n)),)
 
-    _maybe_record("transpose", (a,), out, backward)
+        _maybe_record("transpose", (a,), out, backward)
     return out
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
-    na = _tracked(a)
-
-    def backward(g):
-        return (g.reshape(a.data.shape) if na else None,)
-
-    _maybe_record("reshape", (a,), out, backward)
+    if _recording(a):
+        src_shape = a.shape
+        _maybe_record("reshape", (a,), out, lambda g: (g.reshape(src_shape),))
     return out
 
 
@@ -411,14 +479,15 @@ def concat(tensors, axis=0):
                 raise ShapeError(f"concat extent mismatch on axis {ax}: "
                                  f"{ts[0].shape} vs {t.shape}")
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    needs = [_tracked(t) for t in ts]
-    sizes = [t.shape[axis % rank] for t in ts]
+    needs = _recording(*ts)
+    if needs:
+        sizes = [t.shape[axis % rank] for t in ts]
 
-    def backward(g):
-        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        return tuple(p if n else None for p, n in zip(pieces, needs))
+        def backward(g):
+            pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
+            return tuple(p if n else None for p, n in zip(pieces, needs))
 
-    _maybe_record("concat", tuple(ts), out, backward)
+        _maybe_record("concat", tuple(ts), out, backward)
     return out
 
 
@@ -427,20 +496,19 @@ def slice_(a, key):
     gather: its backward scatter-adds, so a repeated index accumulates."""
     a = _as_tensor(a)
     out = Tensor(a.data[key])
-    na = _tracked(a)
-    basic = all(type(k) in (slice, int) for k in (key if isinstance(key, tuple) else (key,)))
+    if _recording(a):
+        shape, dtype = a.shape, a.dtype
+        basic = all(type(k) in (slice, int) for k in (key if isinstance(key, tuple) else (key,)))
 
-    def backward(g):
-        if not na:
-            return (None,)
-        ga = np.zeros_like(a.data)
-        if basic:  # slices and ints repeat no index: np.add.at's bytes, in place
-            ga[key] += g
-        else:
-            np.add.at(ga, key, g)
-        return (ga,)
+        def backward(g):
+            ga = np.zeros(shape, dtype)
+            if basic:  # slices and ints repeat no index: np.add.at's bytes, in place
+                ga[key] += g
+            else:
+                np.add.at(ga, key, g)
+            return (ga,)
 
-    _maybe_record("slice", (a,), out, backward)
+        _maybe_record("slice", (a,), out, backward)
     return out
 
 
@@ -463,15 +531,13 @@ def softmax(a, axis=-1):
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(s)
-    na = _tracked(a)
+    if _recording(a):
 
-    def backward(g):
-        if not na:
-            return (None,)
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - inner),)
+        def backward(g):
+            inner = (g * s).sum(axis=axis, keepdims=True)
+            return (s * (g - inner),)
 
-    _maybe_record("softmax", (a,), out, backward)
+        _maybe_record("softmax", (a,), out, backward)
     return out
 
 
@@ -483,14 +549,9 @@ def log_softmax(a, axis=-1):
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     ls = shifted - lse
     out = Tensor(ls)
-    na = _tracked(a)
-
-    def backward(g):
-        if not na:
-            return (None,)
-        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
-
-    _maybe_record("log_softmax", (a,), out, backward)
+    if _recording(a):
+        _maybe_record("log_softmax", (a,), out,
+                      lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
     return out
 
 
@@ -511,24 +572,26 @@ def cosine_distance(a, b, eps: float = 1e-8):
     na, nb = np.sqrt((ad * ad).sum(axis=-1)), np.sqrt((bd * bd).sum(axis=-1))
     den = na * nb + dt.type(eps)
     out = Tensor(dt.type(1.0) - dot / den)
-    ab_shape, ta, tb = ab.shape, _tracked(a), _tracked(b)
+    tracked = _recording(a, b)
+    if tracked:
+        (ta, tb), ab_shape = tracked, ab.shape
 
-    def sum_grad(g, shape, dtype):  # sum's backward over the last axis
-        return np.broadcast_to(g[..., None], shape).astype(dtype, copy=False).copy()
+        def sum_grad(g, shape, dtype):  # sum's backward over the last axis
+            return np.broadcast_to(g[..., None], shape).astype(dtype, copy=False).copy()
 
-    def norm_grad(g, r, t):  # through sqrt (0 where r is 0), sum and t * t
-        return sum_grad(g / (2.0 * np.where(r > 0, r, np.inf)), t.shape, t.dtype) * t
+        def norm_grad(g, r, t):  # through sqrt (0 where r is 0), sum and t * t
+            return sum_grad(g / (2.0 * np.where(r > 0, r, np.inf)), t.shape, t.dtype) * t
 
-    def backward(g):
-        g = -g
-        g_den = -g * dot / (den * den)
-        gb = norm_grad(_unbroadcast(g_den * na, nb.shape), nb, bd) if tb else None
-        ga = norm_grad(_unbroadcast(g_den * nb, na.shape), na, ad) if ta else None
-        g_ab = sum_grad(g / den, ab_shape, dt)
-        return (gb, gb, ga, ga, _unbroadcast(g_ab * bd, ad.shape) if ta else None,
-                _unbroadcast(g_ab * ad, bd.shape) if tb else None)
+        def backward(g):
+            g = -g
+            g_den = -g * dot / (den * den)
+            gb = norm_grad(_unbroadcast(g_den * na, nb.shape), nb, bd) if tb else None
+            ga = norm_grad(_unbroadcast(g_den * nb, na.shape), na, ad) if ta else None
+            g_ab = sum_grad(g / den, ab_shape, dt)
+            return (gb, gb, ga, ga, _unbroadcast(g_ab * bd, ad.shape) if ta else None,
+                    _unbroadcast(g_ab * ad, bd.shape) if tb else None)
 
-    _maybe_record("cosine_distance", (b, b, a, a, a, b), out, backward)
+        _maybe_record("cosine_distance", (b, b, a, a, a, b), out, backward)
     return out
 
 
@@ -542,19 +605,15 @@ def ste_threshold(a, theta: float):
     if not (0.0 < theta < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {theta}")
     out = Tensor((a.data >= theta).astype(a.dtype))
-    na = _tracked(a)
-
-    def backward(g):
-        return (g.copy() if na else None,)
-
-    _maybe_record("ste_threshold", (a,), out, backward)
+    if _recording(a):
+        _maybe_record("ste_threshold", (a,), out, lambda g: (g.copy(),))
     return out
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis in one
     node: the composite's ops, and its backward replayed bit for bit, sending
-    to (x, x, gain, bias) in its order."""
+    to (x, x, gain, bias) in its order. Its backward keeps c and r, not x."""
     x = _as_tensor(x)
     gain, bias = _as_tensor(gain, like=x), _as_tensor(bias, like=x)
     xd, n = x.data, x.shape[-1]
@@ -564,24 +623,29 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     r = np.sqrt(var + var.dtype.type(eps))
     scaled = (c / r) * gain.data  # backward recomputes c / r instead of keeping it
     out = Tensor(scaled + bias.data)
-    scaled_shape, nx, ng, nbias = scaled.shape, _tracked(x), _tracked(gain), _tracked(bias)
+    tracked = _recording(x, gain, bias)
+    if tracked:
+        nx, ng, nbias = tracked
+        gd = gain.data if nx else None
+        scaled_shape, gain_shape, bias_shape, mu_shape = (
+            scaled.shape, gain.shape, bias.shape, mu.shape)
 
-    def mean_grad(g):  # mean's backward over the last axis
-        return (np.broadcast_to(g, xd.shape) / n).astype(xd.dtype, copy=False)
+        def mean_grad(g):  # mean's backward over the last axis
+            return (np.broadcast_to(g, c.shape) / n).astype(c.dtype, copy=False)
 
-    def backward(g):
-        gb = _unbroadcast(g, bias.data.shape) if nbias else None
-        g = _unbroadcast(g, scaled_shape)
-        gg = _unbroadcast(g * (c / r), gain.data.shape) if ng else None
-        if not nx:
-            return None, None, gg, gb
-        g = _unbroadcast(g * gain.data, c.shape)
-        g_r = _unbroadcast(-g * c / (r * r), r.shape)
-        g_cc = mean_grad(g_r / (2.0 * np.where(r > 0, r, np.inf))) * c
-        g_c = g / r + g_cc + g_cc  # c feeds the div, then c * c twice
-        return g_c, mean_grad(_unbroadcast(-g_c, mu.shape)), gg, gb
+        def backward(g):
+            gb = _unbroadcast(g, bias_shape) if nbias else None
+            g = _unbroadcast(g, scaled_shape)
+            gg = _unbroadcast(g * (c / r), gain_shape) if ng else None
+            if not nx:
+                return None, None, gg, gb
+            g = _unbroadcast(g * gd, c.shape)
+            g_r = _unbroadcast(-g * c / (r * r), r.shape)
+            g_cc = mean_grad(g_r / (2.0 * np.where(r > 0, r, np.inf))) * c
+            g_c = g / r + g_cc + g_cc  # c feeds the div, then c * c twice
+            return g_c, mean_grad(_unbroadcast(-g_c, mu_shape)), gg, gb
 
-    _maybe_record("layer_norm", (x, x, gain, bias), out, backward)
+        _maybe_record("layer_norm", (x, x, gain, bias), out, backward)
     return out
 
 
@@ -593,7 +657,9 @@ def attention(q, k, v, allowed=None, heads=1):
     > 1, q, k and v are [B, L, d]: each is split into heads of d / heads
     columns, and the heads' outputs are merged back into [B, Lq, d]. The
     composite's ops run in order, and its backward is replayed bit for bit,
-    sending to (v, q, k), or with heads (v, k, q), the order its nodes did."""
+    sending to (v, q, k), or with heads (v, k, q), the order its nodes did.
+    Its backward keeps the weights p, and q, k and v only where a gradient
+    reads them."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     split = merge = lambda t: t
     if heads > 1:  # the decoder's head views: [B, L, d] <-> [B, heads, L, d / heads]
@@ -603,7 +669,6 @@ def attention(q, k, v, allowed=None, heads=1):
     swap = tuple(range(kd.ndim - 2)) + (kd.ndim - 1, kd.ndim - 2)
     kt = kd.transpose(swap)
     m = np.matmul(qd, kt)
-    m_shape = m.shape  # all backward reads of the scores
     c = np.asarray(1.0 / np.sqrt(kd.shape[-1]), dtype=m.dtype)
     x = m * c
     if allowed is not None:
@@ -611,17 +676,21 @@ def attention(q, k, v, allowed=None, heads=1):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(merge(np.matmul(p, vd)))
-    tq, tk, tv = _tracked(q), _tracked(k), _tracked(v)
+    tracked = _recording(q, k, v)
+    if tracked:
+        tq, tk, tv = tracked
+        m_shape = m.shape  # all backward reads of the scores
+        pv, qk = _matmul_grads(p, vd, tq or tk, tv), _matmul_grads(qd, kt, tq, tk)
 
-    def backward(g):
-        gp, gv = _matmul_grads(split(g), p, vd, tq or tk, tv)
-        gq = gk = None
-        if tq or tk:
-            gx = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-            gq, gk = _matmul_grads(_unbroadcast(gx, m_shape) * c, qd, kt, tq, tk)
-            gk = gk.transpose(swap) if tk else None
-        gv, gq, gk = (None if t is None else merge(t) for t in (gv, gq, gk))
-        return (gv, gq, gk) if heads == 1 else (gv, gk, gq)
+        def backward(g):
+            gp, gv = pv(split(g))
+            gq = gk = None
+            if tq or tk:
+                gx = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+                gq, gk = qk(_unbroadcast(gx, m_shape) * c)
+                gk = gk.transpose(swap) if tk else None
+            gv, gq, gk = (None if t is None else merge(t) for t in (gv, gq, gk))
+            return (gv, gq, gk) if heads == 1 else (gv, gk, gq)
 
-    _maybe_record("attention", (v, q, k) if heads == 1 else (v, k, q), out, backward)
+        _maybe_record("attention", (v, q, k) if heads == 1 else (v, k, q), out, backward)
     return out

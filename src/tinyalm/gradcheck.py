@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, first_nonfinite
 
 
 class EvaluationError(RuntimeError):
@@ -73,8 +73,8 @@ def grad_check(f, params, eps: float = 1e-4, tol: float = 1e-4,
     if not isinstance(y, Tensor) or y.size != 1:
         raise ValueError("grad_check objective must return a scalar Tensor")
     if not np.isfinite(y.data):
-        culprit = tape.first_nonfinite()
-        raise EvaluationError(f"objective is non-finite (first bad op: {culprit})")
+        raise EvaluationError(f"objective is non-finite (first bad op: "
+                              f"{first_nonfinite(f)})")
     tape.backward(y)
 
     report = GradCheckReport(tol=tol)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, first_nonfinite
 from .data import window_labels
 from .model import Model
 from .optim import AdamW, lr_at
@@ -33,19 +33,16 @@ def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
     with Tape() as tape:
         out = forward()
         if not np.isfinite(out.loss.data):
-            culprit = tape.first_nonfinite()
             raise TrainAbort(f"non-finite loss at step {step}; first bad "
-                             f"tensor came from op {culprit!r}")
+                             f"tensor came from op {first_nonfinite(forward)!r}")
         opt.gradient()  # the first call flattens, atop the heap this forward grew
         tape.backward(out.loss)
     if not np.isfinite(opt.gradient()).all():
         name = next(n for n, p in opt.store.trainable_items()
                     if not np.isfinite(p.grad).all())
-        with Tape() as replay:  # backward consumed the step's tape
-            forward()
         raise TrainAbort(f"non-finite gradient for {name} at step {step}; "
                          f"first op with a non-finite output: "
-                         f"{replay.first_nonfinite()!r}")
+                         f"{first_nonfinite(forward)!r}")
     # the optimizer's config owns the schedule
     lr = lr_at(step, opt.cfg.total_steps, opt.cfg.lr, opt.cfg.warmup_ratio)
     opt.step(lr)

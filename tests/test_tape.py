@@ -74,12 +74,12 @@ def test_backward_consumes_the_tape():
     x = Tensor(np.array([1.5]), requires_grad=True)
     with Tape() as tape:
         y = ad.sum_(ad.mul(x, x))
-    tape.backward(y)
+        tape.backward(y)
+        # nothing produced on the spent tape is tracked, even while it is active
+        assert tape.nodes == [] and not ad._tracked(y)
     np.testing.assert_allclose(x.grad, [3.0])
-    assert tape.nodes == [] and not tape._produced
-    for reuse in (lambda: tape.backward(y), tape.first_nonfinite):
-        with pytest.raises(RuntimeError, match="already replayed"):
-            reuse()
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.backward(y)
     np.testing.assert_allclose(x.grad, [3.0])  # nothing accumulated again
 
 
@@ -100,13 +100,58 @@ def test_backward_frees_each_node_before_earlier_ones_run():
     np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
+@pytest.mark.parametrize("weight_tracked", [False, True])
+def test_matmul_keeps_its_input_only_for_a_tracked_weight(weight_tracked):
+    # an activation that feeds only a frozen weight is freed as soon as the
+    # forward drops it; with the weight tracked, its backward reads it
+    leaf = Tensor(np.ones((3, 4)), requires_grad=True)
+    w = Tensor(np.full((4, 2), 0.5), requires_grad=weight_tracked)
+    with Tape() as tape:
+        x = ad.mul(leaf, 2.0)
+        y = ad.sum_(ad.matmul(x, w))
+        ref = weakref.ref(x.data)
+        del x
+        assert (ref() is None) is not weight_tracked
+        tape.backward(y)
+    np.testing.assert_array_equal(leaf.grad, np.full((3, 4), 2.0))
+    if weight_tracked:
+        np.testing.assert_array_equal(w.grad, np.full((4, 2), 6.0))
+
+
+def test_tensors_of_another_tape_stay_untracked_as_ids_recycle():
+    # a Tensor knows the tape that produced it, not an id() in a set: the
+    # tape keeps no output, so ids of freed outputs come back for new
+    # Tensors, and none of those is tracked here
+    leaf = Tensor(np.ones(2), requires_grad=True)
+    with Tape() as new:
+        made = [ad.mul(leaf, 2.0) for _ in range(5000)]
+    freed = {id(t) for t in made}
+    del made  # produced on `new`, and now freed
+    with Tape() as outer:
+        from_outer = [ad.mul(leaf, 2.0) for _ in range(2000)]
+        with new:
+            assert not any(ad._tracked(t) for t in from_outer)
+    with Tape() as spent:
+        from_spent = [ad.mul(leaf, 3.0) for _ in range(2000)]
+        spent.backward(from_spent[-1])
+    for ts in (from_outer, from_spent):
+        assert freed & {id(t) for t in ts}  # the ids did come back
+    with outer, new:
+        assert not any(ad._tracked(t) for t in from_outer + from_spent)
+        assert ad._tracked(ad.mul(leaf, 2.0))
+
+
 def test_first_nonfinite_reports_earliest_op():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    with Tape() as tape, np.errstate(over="ignore"):
+
+    def forward():
         a = ad.mul(x, 1e154)
         b = ad.div(a, 1e-200)  # overflows to inf
-        ad.sum_(b)
-    assert tape.first_nonfinite() == "div"
+        return ad.sum_(b)
+
+    with np.errstate(over="ignore"):
+        assert ad.first_nonfinite(forward) == "div"
+    assert ad.first_nonfinite(lambda: ad.sum_(ad.mul(x, 2.0))) is None
 
 
 def test_gradient_flows_through_shared_view_slices():
@@ -125,19 +170,20 @@ def backward_by_sums(tape, root):
     the first contribution, then `grad + g`. The in-place sums must match."""
     grads, interior = {}, {}
 
-    def send(t, g):
-        if t.requires_grad:
-            grads[id(t)] = g if id(t) not in grads else grads[id(t)] + g
-        elif id(t) in tape._produced:
-            interior[id(t)] = g if id(t) not in interior else interior[id(t)] + g
+    def send(ref, g):
+        if isinstance(ref, Tensor):
+            grads[id(ref)] = g if id(ref) not in grads else grads[id(ref)] + g
+        elif ref is not None:  # the index of the node that produced it
+            interior[ref] = g if ref not in interior else interior[ref] + g
 
-    send(root, np.ones_like(root.data))
-    for _op, inputs, out, backward in reversed(tape.nodes):
-        g = interior.pop(id(out), None)
+    send(tape._ref(root), np.ones_like(root.data))
+    for i in reversed(range(len(tape.nodes))):
+        _op, refs, _out, backward = tape.nodes[i]
+        g = interior.pop(i, None)
         if g is not None:
-            for t, gt in zip(inputs, backward(g)):
+            for ref, gt in zip(refs, backward(g)):
                 if gt is not None:
-                    send(t, gt)
+                    send(ref, gt)
     return grads
 
 

@@ -4,12 +4,14 @@ Expected gradients come from the central finite-difference oracle
 (grad_check), never from the op's own backward rule.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from tinyalm import autodiff as ad
 from tinyalm.autodiff import ShapeError, Tape, Tensor
-from tinyalm.checks import OP_SEED, _op_cases
+from tinyalm.checks import OP_SEED, _op_cases, _op_outputs
 from tinyalm.gradcheck import grad_check
 from tinyalm.params import seeded_rng
 
@@ -170,6 +172,34 @@ OP_CASES = list(_op_cases(seeded_rng(*OP_SEED)))
 def test_primitive_gradients(name, fn, params):
     report = grad_check(lambda: fn(params), params, eps=1e-6, tol=1e-4)
     assert report.passed, report.format_table()
+
+
+# the same cases' ops, before the weighted sum _op_cases puts on them
+OP_OUTPUTS = list(_op_outputs(seeded_rng(*OP_SEED)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name,out,params", OP_OUTPUTS,
+                         ids=[name for name, _, _ in OP_OUTPUTS])
+def test_each_tracked_subset_gets_the_all_tracked_gradient_bytes(name, out, params, dtype):
+    # a backward closure keeps only what its tracked inputs' gradients read;
+    # whichever inputs are tracked, each gets the bytes it gets when all are
+    names = sorted(params)
+    weight = Tensor(seeded_rng(12).standard_normal(out(params).shape).astype(dtype))
+
+    def grads(tracked):
+        p = {n: Tensor(params[n].data.astype(dtype), requires_grad=n in tracked)
+             for n in names}
+        with Tape() as tape:
+            tape.backward(ad.sum_(ad.mul(out(p), weight)))
+        assert all(p[n].grad is None for n in names if n not in tracked)
+        return {n: p[n].grad for n in tracked}
+
+    want = grads(names)
+    for k in range(1, len(names)):
+        for tracked in itertools.combinations(names, k):
+            for n, g in grads(tracked).items():
+                assert g.dtype == dtype and g.tobytes() == want[n].tobytes(), (tracked, n)
 
 
 def test_embedding_lookup_gradient_scatter_adds():

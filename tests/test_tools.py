@@ -1,15 +1,17 @@
 """The scripts under tools/ run outside the test suite, but they import
 tests/test_acceptance.py, perfbench/workload.py and the model API. Importing
 them here catches a moved or renamed name; their __main__ guards keep the
-import from running anything. A short digest run exercises train_digest's
-body as well."""
+import from running anything. Short runs exercise train_digest's and
+step_memory's bodies as well."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tinyalm.autodiff import Tensor
 from tinyalm.config import Config
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -47,3 +49,29 @@ def test_train_digest_runs_and_repeats():
     lines = tool.digest("train-default", 2)
     assert len(lines) == 5 and lines[0].startswith("train-default steps 2 last loss ")
     assert tool.digest("train-default", 2) == lines
+
+
+def test_train_digest_checkpoint_line_repeats():
+    tool = import_tool("train_digest")
+    line = tool.checkpoint_digest(2)
+    assert line.startswith("train-default checkpoint after 2 steps sha256 ")
+    assert tool.checkpoint_digest(2) == line
+
+
+def test_step_memory_counts_each_base_array_once():
+    tool = import_tool("step_memory")
+    shared, own, param = np.zeros(100), np.ones(7), np.ones(5)
+    views = (shared[:10], shared[50:].reshape(5, 10))
+    node = ("op", [Tensor(param, requires_grad=True), 0, None], None,
+            lambda g: (views, own * g))
+    assert tool.reachable_bytes([node]) == shared.nbytes + own.nbytes + param.nbytes
+    assert tool.reachable_bytes([node], {id(param)}) == shared.nbytes + own.nbytes
+
+
+def test_step_memory_runs():
+    tool = import_tool("step_memory")
+    assert tool.NAMES == ("train-default", "train-wide")
+    for name in tool.NAMES:
+        Config(**tool.WORKLOADS[name].config).validate()
+    peak, kept = tool.measure("train-default", warmup=1)
+    assert 0 < kept < peak

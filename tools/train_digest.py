@@ -7,10 +7,12 @@ benchmark's batch order. For each it prints the last loss and a sha256
 parameters plus the AdamW moments, of the greedy tokens of the first 16
 records, and of the logits at those records' supervised positions (after
 60 default steps every greedy decode is a lone EOS, so the tokens alone
-say little). A last line digests the `decode` workload: the untrained
+say little). The next line digests the `decode` workload: the untrained
 default model's greedy tokens of 64 records of the workload's seed-1 data,
-with the last-position logits of every decoder call they took. Run it from
-the root of two checkouts, say a parent and a change, and compare the lines:
+with the last-position logits of every decoder call they took. The last
+line is the sha256 of a checkpoint saved after 6 `train-default` steps. Run
+it from the root of two checkouts, say a parent and a change, and compare
+the lines:
 
     PYTHONPATH=src python3 tools/train_digest.py
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tempfile
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -29,7 +32,8 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workload import DECODE_SEED_BASE, WORKLOADS  # noqa: E402
 
-from tinyalm.config import Config  # noqa: E402
+from tinyalm.checkpoint import save_checkpoint  # noqa: E402
+from tinyalm.config import Config, dump_config  # noqa: E402
 from tinyalm.data import gen_dataset  # noqa: E402
 from tinyalm.model import Model  # noqa: E402
 from tinyalm.optim import AdamW  # noqa: E402
@@ -38,6 +42,7 @@ from tinyalm.train import batch_indices, train_step  # noqa: E402
 RUNS = (("train-default", 60), ("train-wide", 15))
 N_DECODED = 16
 N_DECODE_RECORDS = 64
+CHECKPOINT_STEPS = 6
 
 
 def sha(*arrays) -> str:
@@ -47,7 +52,9 @@ def sha(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def digest(name: str, steps: int) -> list:
+def trained(name: str, steps: int):
+    """(config, records, model, optimizer, per-step losses) after `steps`
+    steps of the workload on its seed-1 data."""
     wl = WORKLOADS[name]
     cfg = Config(**wl.config)
     records = gen_dataset(cfg, 1, wl.n_records)
@@ -57,6 +64,11 @@ def digest(name: str, steps: int) -> list:
     for i in range(steps):
         batch = [records[j] for j in batch_indices(i, cfg.batch_size, len(records))]
         losses.append(train_step(model, opt, batch, i)["L"])
+    return cfg, records, model, opt, losses
+
+
+def digest(name: str, steps: int) -> list:
+    cfg, records, model, opt, losses = trained(name, steps)
     state = []
     for key, t in model.store.trainable_items():
         state += [t.data, opt.m[key], opt.v[key]]
@@ -92,10 +104,22 @@ def decode_digest() -> str:
             f"{sha(np.array(tokens), *logits)}")
 
 
+def checkpoint_digest(steps: int = CHECKPOINT_STEPS) -> str:
+    cfg, _, model, opt, _ = trained("train-default", steps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train-default.ckpt")
+        save_checkpoint(path, model.store, opt, steps, dump_config(cfg))
+        with open(path, "rb") as f:
+            body = f.read()
+    return (f"train-default checkpoint after {steps} steps sha256 "
+            f"{hashlib.sha256(body).hexdigest()[:16]}")
+
+
 def main() -> int:
     for name, steps in RUNS:
         print("\n".join(digest(name, steps)), flush=True)
-    print(decode_digest())
+    print(decode_digest(), flush=True)
+    print(checkpoint_digest())
     return 0
 
 
