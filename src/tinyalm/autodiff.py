@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
-Tensors wrap numpy arrays. While a Tape is active, every primitive that
-touches a tracked tensor appends one node (op name, input refs, output
-record, backward closure). An input ref is the leaf Tensor for an input
-with requires_grad, the index of the node that produced an interior input,
-or None for a constant; the output record keeps the output's shape, dtype
-and byte count, not its values. A Tensor carries the serial of the tape
-and the index of the node that produced it, so the tape holds no interior
-Tensor, and each closure keeps only the arrays its backward reads for the
-inputs being tracked: an activation that feeds only frozen weights is freed
-as soon as the forward drops it. Off the tape, a primitive keeps nothing.
+Tensors wrap numpy arrays. Each primitive computes its value and, only
+while a Tape is active, hands `Tape._record` its inputs, its output and a
+factory for its backward. The tape derives each input's ref once: the leaf
+Tensor for an input with requires_grad, the index of the node that produced
+an interior input, or None for a constant. If any ref is not None it
+appends one node (op name, input refs, output record, backward), calling
+the factory with the inputs' tracked flags, so each closure keeps only the
+arrays its backward reads for the tracked inputs: an activation that feeds
+only frozen weights is freed as soon as the forward drops it. The output
+record keeps the output's byte count, not its values. A Tensor carries the
+serial of the tape and the index of the node that produced it, so the tape
+holds no interior Tensor. Off the tape, a primitive keeps nothing.
 
 Tape.backward replays the nodes in strictly reverse append order,
 accumulating gradients additively whenever a tensor feeds several consumers.
@@ -44,13 +46,13 @@ _FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
 class _Output:
-    """What a node keeps of its output: shape, dtype and byte count. Like
-    the Tensor it stands for, it answers `.data.nbytes`."""
+    """What a node keeps of its output: its byte count. Like the Tensor it
+    stands for, it answers `.data.nbytes`."""
 
-    __slots__ = ("shape", "dtype", "nbytes")
+    __slots__ = ("nbytes",)
 
     def __init__(self, a: np.ndarray):
-        self.shape, self.dtype, self.nbytes = a.shape, a.dtype, a.nbytes
+        self.nbytes = a.nbytes
 
     @property
     def data(self):
@@ -84,9 +86,15 @@ class Tape:
             return t
         return t._node if t._tape == self._serial else None
 
-    def _record(self, op, inputs, out, backward):
+    def _record(self, op, inputs, out, grads):
+        """Append op's node if any input is tracked, with backward
+        grads(*tracked): one flag per input, in the node's order, and a
+        closure g -> one gradient per input, None where one is untracked."""
         refs = list(map(self._ref, inputs))
+        if refs.count(None) == len(refs):
+            return
         out._tape, out._node = self._serial, len(self.nodes)
+        backward = grads(*[ref is not None for ref in refs])
         self.nodes.append((op, refs, _Output(out.data), backward))
 
     def backward(self, root: "Tensor"):
@@ -98,8 +106,8 @@ class Tape:
         by the time that node is replayed; interior gradients are keyed by
         node index. Leaf contributions add in place into `grad` (zeros when
         None): their direct sums, but a lone -0.0 is +0.0. A node holds its
-        input refs, a shape record of its output and a closure over only the
-        arrays its backward reads; each is popped before earlier nodes run.
+        input refs, a byte-count record of its output and a closure over only
+        the arrays its backward reads; each is popped before earlier nodes run.
         The spent tape raises RuntimeError if replayed again, and nothing
         produced on it counts as tracked any more.
         """
@@ -136,9 +144,10 @@ class _NonfiniteWatch(Tape):
 
     culprit = None
 
-    def _record(self, op, inputs, out, backward):
-        super()._record(op, inputs, out, backward)
-        if self.culprit is None and not np.all(np.isfinite(out.data)):
+    def _record(self, op, inputs, out, grads):
+        super()._record(op, inputs, out, grads)
+        if (self.culprit is None and out._tape == self._serial
+                and not np.all(np.isfinite(out.data))):
             self.culprit = op
 
 
@@ -199,23 +208,10 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or (_TAPE is not None and t._tape == _TAPE._serial)
-
-
-def _recording(*ts):
-    """The tracked flag of each of ts if the active tape records an op on
-    them, else None: then the primitive builds no closure state at all."""
-    if _TAPE is not None:
-        flags = [_tracked(t) for t in ts]
-        if True in flags:
-            return flags
-    return None
-
-
-def _maybe_record(op, inputs, out, backward):
-    if _TAPE is not None and any(map(_tracked, inputs)):
-        _TAPE._record(op, inputs, out, backward)
+def _operands(a, b):
+    """a and b as Tensors; a python scalar takes the other side's dtype."""
+    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
+    return a, _as_tensor(b, like=a)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -236,78 +232,69 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    a, b = _operands(a, b)
     out = Tensor(a.data + b.data)
-    tracked = _recording(a, b)
-    if tracked:
-        (na, nb), sa, sb = tracked, a.shape, b.shape
+    if _TAPE is not None:
+        def grads(na, nb):
+            sa, sb = a.shape, b.shape
+            return lambda g: (_unbroadcast(g, sa) if na else None,
+                              _unbroadcast(g, sb) if nb else None)
 
-        def backward(g):
-            return (_unbroadcast(g, sa) if na else None,
-                    _unbroadcast(g, sb) if nb else None)
-
-        _maybe_record("add", (a, b), out, backward)
+        _TAPE._record("add", (a, b), out, grads)
     return out
 
 
 def sub(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    a, b = _operands(a, b)
     out = Tensor(a.data - b.data)
-    tracked = _recording(a, b)
-    if tracked:
-        (na, nb), sa, sb = tracked, a.shape, b.shape
+    if _TAPE is not None:
+        def grads(na, nb):
+            sa, sb = a.shape, b.shape
+            return lambda g: (_unbroadcast(g, sa) if na else None,
+                              _unbroadcast(-g, sb) if nb else None)
 
-        def backward(g):
-            return (_unbroadcast(g, sa) if na else None,
-                    _unbroadcast(-g, sb) if nb else None)
-
-        _maybe_record("sub", (a, b), out, backward)
+        _TAPE._record("sub", (a, b), out, grads)
     return out
 
 
 def mul(a, b):
     """a * b; either side may be a python scalar, cast to the other's dtype."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    a, b = _operands(a, b)
     out = Tensor(a.data * b.data)
-    tracked = _recording(a, b)
-    if tracked:
-        (na, nb), sa, sb = tracked, a.shape, b.shape
-        ad, bd = a.data if nb else None, b.data if na else None  # each for the other
+    if _TAPE is not None:
+        def grads(na, nb):
+            sa, sb = a.shape, b.shape
+            ad, bd = a.data if nb else None, b.data if na else None  # each for the other
+            return lambda g: (_unbroadcast(g * bd, sa) if na else None,
+                              _unbroadcast(g * ad, sb) if nb else None)
 
-        def backward(g):
-            return (_unbroadcast(g * bd, sa) if na else None,
-                    _unbroadcast(g * ad, sb) if nb else None)
-
-        _maybe_record("mul", (a, b), out, backward)
+        _TAPE._record("mul", (a, b), out, grads)
     return out
 
 
 def div(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    a, b = _operands(a, b)
     out = Tensor(a.data / b.data)
-    tracked = _recording(a, b)
-    if tracked:
-        (na, nb), sa, sb = tracked, a.shape, b.shape
-        ad, bd = a.data if nb else None, b.data
+    if _TAPE is not None:
+        def grads(na, nb):
+            sa, sb = a.shape, b.shape
+            ad, bd = a.data if nb else None, b.data
+            return lambda g: (_unbroadcast(g / bd, sa) if na else None,
+                              _unbroadcast(-g * ad / (bd * bd), sb) if nb else None)
 
-        def backward(g):
-            return (_unbroadcast(g / bd, sa) if na else None,
-                    _unbroadcast(-g * ad / (bd * bd), sb) if nb else None)
-
-        _maybe_record("div", (a, b), out, backward)
+        _TAPE._record("div", (a, b), out, grads)
     return out
 
 
 def relu(a):
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0))
-    if _recording(a):
-        mask = a.data > 0  # subgradient at 0 is 0
-        _maybe_record("relu", (a,), out, lambda g: (g * mask,))
+    if _TAPE is not None:
+        def grads(_):
+            mask = a.data > 0  # subgradient at 0 is 0
+            return lambda g: (g * mask,)
+
+        _TAPE._record("relu", (a,), out, grads)
     return out
 
 
@@ -319,8 +306,8 @@ def sigmoid(a):
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(x.dtype, copy=False)
     out = Tensor(s)
-    if _recording(a):
-        _maybe_record("sigmoid", (a,), out, lambda g: (g * s * (1.0 - s),))
+    if _TAPE is not None:
+        _TAPE._record("sigmoid", (a,), out, lambda _: lambda g: (g * s * (1.0 - s),))
     return out
 
 
@@ -344,13 +331,13 @@ def _restore_axes(g, src_shape, axis, keepdims):
 def sum_(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    if _recording(a):
-        shape, dtype = a.shape, a.dtype
+    if _TAPE is not None:
+        def grads(_):
+            shape, dtype = a.shape, a.dtype
+            return lambda g: (
+                _restore_axes(g, shape, axis, keepdims).astype(dtype, copy=False).copy(),)
 
-        def backward(g):
-            return (_restore_axes(g, shape, axis, keepdims).astype(dtype, copy=False).copy(),)
-
-        _maybe_record("sum", (a,), out, backward)
+        _TAPE._record("sum", (a,), out, grads)
     return out
 
 
@@ -364,14 +351,13 @@ def mean(a, axis=None, keepdims=False):
         axis if isinstance(axis, tuple) else (axis,))
     n = math.prod(a.data.shape[ax] for ax in axes)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims) / n)
-    if _recording(a):
-        shape, dtype = a.shape, a.dtype
+    if _TAPE is not None:
+        def grads(_):
+            shape, dtype = a.shape, a.dtype
+            return lambda g: (
+                (_restore_axes(g, shape, axis, keepdims) / n).astype(dtype, copy=False),)
 
-        def backward(g):
-            spread = _restore_axes(g, shape, axis, keepdims)
-            return ((spread / n).astype(dtype, copy=False),)
-
-        _maybe_record("mean", (a,), out, backward)
+        _TAPE._record("mean", (a,), out, grads)
     return out
 
 
@@ -380,8 +366,7 @@ def mean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 
 def _matmul_operands(a, b):
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -397,7 +382,7 @@ def _matmul_grads(a, b, na, nb):
     a_shape, b_shape = a.shape, b.shape
     a, b = a if nb else None, b if na else None
 
-    def grads(g):
+    def backward(g):
         ga = gb = None
         if na:
             if len(a_shape) == 2 and b.ndim > 2:
@@ -412,15 +397,15 @@ def _matmul_grads(a, b, na, nb):
                 gb = _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b_shape)
         return ga, gb
 
-    return grads
+    return backward
 
 
 def matmul(a, b):
     a, b = _matmul_operands(a, b)
     out = Tensor(np.matmul(a.data, b.data))
-    tracked = _recording(a, b)
-    if tracked:
-        _maybe_record("matmul", (a, b), out, _matmul_grads(a.data, b.data, *tracked))
+    if _TAPE is not None:
+        _TAPE._record("matmul", (a, b), out,
+                      lambda na, nb: _matmul_grads(a.data, b.data, na, nb))
     return out
 
 
@@ -431,40 +416,41 @@ def linear(x, w, b):
     b = _as_tensor(b, like=x)
     y = np.matmul(x.data, w.data)
     out = Tensor(y + b.data)
-    tracked = _recording(x, w, b)
-    if tracked:
-        nx, nw, nbias = tracked
-        y_shape, b_shape, xw = y.shape, b.shape, _matmul_grads(x.data, w.data, nx, nw)
+    if _TAPE is not None:
+        def grads(nx, nw, nbias):
+            y_shape, b_shape, xw = y.shape, b.shape, _matmul_grads(x.data, w.data, nx, nw)
+            return lambda g: (*xw(_unbroadcast(g, y_shape)),
+                              _unbroadcast(g, b_shape) if nbias else None)
 
-        def backward(g):
-            return (*xw(_unbroadcast(g, y_shape)),
-                    _unbroadcast(g, b_shape) if nbias else None)
-
-        _maybe_record("linear", (x, w, b), out, backward)
+        _TAPE._record("linear", (x, w, b), out, grads)
     return out
 
 
 def transpose(a, axes=None):
     a = _as_tensor(a)
     out = Tensor(a.data.transpose(axes))
-    if _recording(a):
+    if _TAPE is not None:
+        def grads(_):
+            def backward(g):
+                if axes is None:
+                    return (g.transpose(),)
+                n = len(axes)
+                return (g.transpose(sorted(range(n), key=lambda i: axes[i] % n)),)
+            return backward
 
-        def backward(g):
-            if axes is None:
-                return (g.transpose(),)
-            n = len(axes)
-            return (g.transpose(sorted(range(n), key=lambda i: axes[i] % n)),)
-
-        _maybe_record("transpose", (a,), out, backward)
+        _TAPE._record("transpose", (a,), out, grads)
     return out
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
-    if _recording(a):
-        src_shape = a.shape
-        _maybe_record("reshape", (a,), out, lambda g: (g.reshape(src_shape),))
+    if _TAPE is not None:
+        def grads(_):
+            src_shape = a.shape
+            return lambda g: (g.reshape(src_shape),)
+
+        _TAPE._record("reshape", (a,), out, grads)
     return out
 
 
@@ -479,15 +465,16 @@ def concat(tensors, axis=0):
                 raise ShapeError(f"concat extent mismatch on axis {ax}: "
                                  f"{ts[0].shape} vs {t.shape}")
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    needs = _recording(*ts)
-    if needs:
-        sizes = [t.shape[axis % rank] for t in ts]
+    if _TAPE is not None:
+        def grads(*needs):
+            sizes = [t.shape[axis % rank] for t in ts]
 
-        def backward(g):
-            pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-            return tuple(p if n else None for p, n in zip(pieces, needs))
+            def backward(g):
+                pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
+                return tuple(p if n else None for p, n in zip(pieces, needs))
+            return backward
 
-        _maybe_record("concat", tuple(ts), out, backward)
+        _TAPE._record("concat", tuple(ts), out, grads)
     return out
 
 
@@ -496,19 +483,22 @@ def slice_(a, key):
     gather: its backward scatter-adds, so a repeated index accumulates."""
     a = _as_tensor(a)
     out = Tensor(a.data[key])
-    if _recording(a):
-        shape, dtype = a.shape, a.dtype
-        basic = all(type(k) in (slice, int) for k in (key if isinstance(key, tuple) else (key,)))
+    if _TAPE is not None:
+        def grads(_):
+            shape, dtype = a.shape, a.dtype
+            basic = all(type(k) in (slice, int)
+                        for k in (key if isinstance(key, tuple) else (key,)))
 
-        def backward(g):
-            ga = np.zeros(shape, dtype)
-            if basic:  # slices and ints repeat no index: np.add.at's bytes, in place
-                ga[key] += g
-            else:
-                np.add.at(ga, key, g)
-            return (ga,)
+            def backward(g):
+                ga = np.zeros(shape, dtype)
+                if basic:  # slices and ints repeat no index: np.add.at's bytes, in place
+                    ga[key] += g
+                else:
+                    np.add.at(ga, key, g)
+                return (ga,)
+            return backward
 
-        _maybe_record("slice", (a,), out, backward)
+        _TAPE._record("slice", (a,), out, grads)
     return out
 
 
@@ -531,13 +521,9 @@ def softmax(a, axis=-1):
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(s)
-    if _recording(a):
-
-        def backward(g):
-            inner = (g * s).sum(axis=axis, keepdims=True)
-            return (s * (g - inner),)
-
-        _maybe_record("softmax", (a,), out, backward)
+    if _TAPE is not None:
+        _TAPE._record("softmax", (a,), out, lambda _: lambda g: (
+            s * (g - (g * s).sum(axis=axis, keepdims=True)),))
     return out
 
 
@@ -549,9 +535,9 @@ def log_softmax(a, axis=-1):
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     ls = shifted - lse
     out = Tensor(ls)
-    if _recording(a):
-        _maybe_record("log_softmax", (a,), out,
-                      lambda g: (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
+    if _TAPE is not None:
+        _TAPE._record("log_softmax", (a,), out, lambda _: lambda g: (
+            g - np.exp(ls) * g.sum(axis=axis, keepdims=True),))
     return out
 
 
@@ -572,26 +558,27 @@ def cosine_distance(a, b, eps: float = 1e-8):
     na, nb = np.sqrt((ad * ad).sum(axis=-1)), np.sqrt((bd * bd).sum(axis=-1))
     den = na * nb + dt.type(eps)
     out = Tensor(dt.type(1.0) - dot / den)
-    tracked = _recording(a, b)
-    if tracked:
-        (ta, tb), ab_shape = tracked, ab.shape
+    if _TAPE is not None:
+        def grads(tb, _tb, ta, *_):
+            ab_shape = ab.shape
 
-        def sum_grad(g, shape, dtype):  # sum's backward over the last axis
-            return np.broadcast_to(g[..., None], shape).astype(dtype, copy=False).copy()
+            def sum_grad(g, shape, dtype):  # sum's backward over the last axis
+                return np.broadcast_to(g[..., None], shape).astype(dtype, copy=False).copy()
 
-        def norm_grad(g, r, t):  # through sqrt (0 where r is 0), sum and t * t
-            return sum_grad(g / (2.0 * np.where(r > 0, r, np.inf)), t.shape, t.dtype) * t
+            def norm_grad(g, r, t):  # through sqrt (0 where r is 0), sum and t * t
+                return sum_grad(g / (2.0 * np.where(r > 0, r, np.inf)), t.shape, t.dtype) * t
 
-        def backward(g):
-            g = -g
-            g_den = -g * dot / (den * den)
-            gb = norm_grad(_unbroadcast(g_den * na, nb.shape), nb, bd) if tb else None
-            ga = norm_grad(_unbroadcast(g_den * nb, na.shape), na, ad) if ta else None
-            g_ab = sum_grad(g / den, ab_shape, dt)
-            return (gb, gb, ga, ga, _unbroadcast(g_ab * bd, ad.shape) if ta else None,
-                    _unbroadcast(g_ab * ad, bd.shape) if tb else None)
+            def backward(g):
+                g = -g
+                g_den = -g * dot / (den * den)
+                gb = norm_grad(_unbroadcast(g_den * na, nb.shape), nb, bd) if tb else None
+                ga = norm_grad(_unbroadcast(g_den * nb, na.shape), na, ad) if ta else None
+                g_ab = sum_grad(g / den, ab_shape, dt)
+                return (gb, gb, ga, ga, _unbroadcast(g_ab * bd, ad.shape) if ta else None,
+                        _unbroadcast(g_ab * ad, bd.shape) if tb else None)
+            return backward
 
-        _maybe_record("cosine_distance", (b, b, a, a, a, b), out, backward)
+        _TAPE._record("cosine_distance", (b, b, a, a, a, b), out, grads)
     return out
 
 
@@ -605,8 +592,8 @@ def ste_threshold(a, theta: float):
     if not (0.0 < theta < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {theta}")
     out = Tensor((a.data >= theta).astype(a.dtype))
-    if _recording(a):
-        _maybe_record("ste_threshold", (a,), out, lambda g: (g.copy(),))
+    if _TAPE is not None:
+        _TAPE._record("ste_threshold", (a,), out, lambda _: lambda g: (g.copy(),))
     return out
 
 
@@ -623,29 +610,29 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     r = np.sqrt(var + var.dtype.type(eps))
     scaled = (c / r) * gain.data  # backward recomputes c / r instead of keeping it
     out = Tensor(scaled + bias.data)
-    tracked = _recording(x, gain, bias)
-    if tracked:
-        nx, ng, nbias = tracked
-        gd = gain.data if nx else None
-        scaled_shape, gain_shape, bias_shape, mu_shape = (
-            scaled.shape, gain.shape, bias.shape, mu.shape)
+    if _TAPE is not None:
+        def grads(nx, _, ng, nbias):
+            gd = gain.data if nx else None
+            scaled_shape, gain_shape, bias_shape, mu_shape = (
+                scaled.shape, gain.shape, bias.shape, mu.shape)
 
-        def mean_grad(g):  # mean's backward over the last axis
-            return (np.broadcast_to(g, c.shape) / n).astype(c.dtype, copy=False)
+            def mean_grad(g):  # mean's backward over the last axis
+                return (np.broadcast_to(g, c.shape) / n).astype(c.dtype, copy=False)
 
-        def backward(g):
-            gb = _unbroadcast(g, bias_shape) if nbias else None
-            g = _unbroadcast(g, scaled_shape)
-            gg = _unbroadcast(g * (c / r), gain_shape) if ng else None
-            if not nx:
-                return None, None, gg, gb
-            g = _unbroadcast(g * gd, c.shape)
-            g_r = _unbroadcast(-g * c / (r * r), r.shape)
-            g_cc = mean_grad(g_r / (2.0 * np.where(r > 0, r, np.inf))) * c
-            g_c = g / r + g_cc + g_cc  # c feeds the div, then c * c twice
-            return g_c, mean_grad(_unbroadcast(-g_c, mu_shape)), gg, gb
+            def backward(g):
+                gb = _unbroadcast(g, bias_shape) if nbias else None
+                g = _unbroadcast(g, scaled_shape)
+                gg = _unbroadcast(g * (c / r), gain_shape) if ng else None
+                if not nx:
+                    return None, None, gg, gb
+                g = _unbroadcast(g * gd, c.shape)
+                g_r = _unbroadcast(-g * c / (r * r), r.shape)
+                g_cc = mean_grad(g_r / (2.0 * np.where(r > 0, r, np.inf))) * c
+                g_c = g / r + g_cc + g_cc  # c feeds the div, then c * c twice
+                return g_c, mean_grad(_unbroadcast(-g_c, mu_shape)), gg, gb
+            return backward
 
-        _maybe_record("layer_norm", (x, x, gain, bias), out, backward)
+        _TAPE._record("layer_norm", (x, x, gain, bias), out, grads)
     return out
 
 
@@ -676,21 +663,22 @@ def attention(q, k, v, allowed=None, heads=1):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(merge(np.matmul(p, vd)))
-    tracked = _recording(q, k, v)
-    if tracked:
-        tq, tk, tv = tracked
-        m_shape = m.shape  # all backward reads of the scores
-        pv, qk = _matmul_grads(p, vd, tq or tk, tv), _matmul_grads(qd, kt, tq, tk)
+    if _TAPE is not None:
+        def grads(tv, t1, t2):
+            tq, tk = (t1, t2) if heads == 1 else (t2, t1)
+            m_shape = m.shape  # all backward reads of the scores
+            pv, qk = _matmul_grads(p, vd, tq or tk, tv), _matmul_grads(qd, kt, tq, tk)
 
-        def backward(g):
-            gp, gv = pv(split(g))
-            gq = gk = None
-            if tq or tk:
-                gx = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-                gq, gk = qk(_unbroadcast(gx, m_shape) * c)
-                gk = gk.transpose(swap) if tk else None
-            gv, gq, gk = (None if t is None else merge(t) for t in (gv, gq, gk))
-            return (gv, gq, gk) if heads == 1 else (gv, gk, gq)
+            def backward(g):
+                gp, gv = pv(split(g))
+                gq = gk = None
+                if tq or tk:
+                    gx = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+                    gq, gk = qk(_unbroadcast(gx, m_shape) * c)
+                    gk = gk.transpose(swap) if tk else None
+                gv, gq, gk = (None if t is None else merge(t) for t in (gv, gq, gk))
+                return (gv, gq, gk) if heads == 1 else (gv, gk, gq)
+            return backward
 
-        _maybe_record("attention", (v, q, k) if heads == 1 else (v, k, q), out, backward)
+        _TAPE._record("attention", (v, q, k) if heads == 1 else (v, k, q), out, grads)
     return out

@@ -104,20 +104,17 @@ class Model:
         cfg = self.cfg
         (fused, zfeat, phi, routing, audio_prefix, audio_valid,
          prompt_vecs) = self.front_end(records)
-        targets = [list(map(int, r.targets)) for r in records]
-        seq = build_sequence(cfg, self.decoder, audio_prefix, audio_valid,
-                             prompt_vecs, targets)
+        seq = build_sequence(cfg, self.decoder, audio_prefix, audio_valid, prompt_vecs,
+                             [list(map(int, r.targets)) for r in records])
         logits = self.decoder.forward(seq.hidden, seq.key_valid, keep=seq.labels.shape[1])
         l_ce = ce_loss(logits, seq.labels, seq.loss_mask)
 
         sac = None
         if compute_saclm and cfg.ablate != "saclm":
-            lengths = np.array([len(t) for t in targets])
-            text_ids = np.full((len(targets), lengths.max()), cfg.pad_id)
-            text_ids[np.arange(lengths.max()) < lengths[:, None]] = \
-                np.concatenate(targets)
+            supervised = seq.loss_mask > 0  # each example's targets, left-aligned
+            text_ids = np.where(supervised, seq.labels, cfg.pad_id)
             sac = self.saclm.forward(phi, self.decoder.embed_tokens(text_ids),
-                                     lengths, rng, decisions=saclm_decisions)
+                                     supervised.sum(axis=1), rng, decisions=saclm_decisions)
             loss = add(mul(l_ce, cfg.alpha_mix),
                        mul(sac.loss_sac, 1.0 - cfg.alpha_mix))
         else:
@@ -136,12 +133,10 @@ class Model:
             max_new = cfg.max_tokens + 2
         *_, audio_prefix, audio_valid, prompt_vecs = self.front_end([record])
 
-        cache = DecodeCache()
-        bos = self.decoder.embed_tokens(np.array([[cfg.bos_id]]))
-        hidden = concat([audio_prefix, prompt_vecs, bos], axis=1)
-        key_valid = np.concatenate(
-            [audio_valid, np.ones((1, prompt_vecs.shape[1] + 1),
-                                  dtype=cfg.np_dtype)], axis=1)
+        # a lone-EOS target makes the text segment just BOS
+        seq = build_sequence(cfg, self.decoder, audio_prefix, audio_valid,
+                             prompt_vecs, [[cfg.eos_id]])
+        hidden, key_valid, cache = seq.hidden, seq.key_valid, DecodeCache()
         out = []
         for step in range(max_new):
             if step:

@@ -22,13 +22,10 @@ def sqrt(a):
     """The square-root primitive the composites were built from."""
     r = np.sqrt(a.data)
     out = Tensor(r)
-    na = ad._tracked(a)
-
-    def backward(g):
+    if ad._TAPE is not None:
         # 0 where the output is 0 and the derivative unbounded: g / inf
-        return (g / (2.0 * np.where(r > 0, r, np.inf)) if na else None,)
-
-    ad._maybe_record("sqrt", (a,), out, backward)
+        ad._TAPE._record("sqrt", (a,), out, lambda _: lambda g: (
+            g / (2.0 * np.where(r > 0, r, np.inf)),))
     return out
 
 

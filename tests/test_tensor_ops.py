@@ -202,6 +202,46 @@ def test_each_tracked_subset_gets_the_all_tracked_gradient_bytes(name, out, para
                 assert g.dtype == dtype and g.tobytes() == want[n].tobytes(), (tracked, n)
 
 
+# each case's node inputs by parameter name, None for a constant operand,
+# where they are not the case's parameters in order
+NODE_INPUTS = {"mul_scalar": ["a", None],
+               "cosine_distance": list("bbaaab"), "cosine_vector": list("bbaaab"),
+               "cosine_zero_row": list("bbaaab"), "layer_norm": ["x", "x", "g", "b"],
+               "attention": list("vqk"), "attention_shared_q": list("vqk"),
+               "attention_heads": list("vkq")}
+
+
+@pytest.mark.parametrize("name,out,params", OP_OUTPUTS,
+                         ids=[name for name, _, _ in OP_OUTPUTS])
+def test_factory_runs_once_per_node_with_the_inputs_tracked_flags(name, out, params,
+                                                                   monkeypatch):
+    # with nothing tracked the tape appends no node and never builds a
+    # backward; else the factory gets one tracked flag per node input
+    calls, real_record = [], Tape._record
+
+    def spy(self, op, inputs, out, grads):
+        def noted(*tracked):
+            calls.append(tracked)
+            return grads(*tracked)
+        real_record(self, op, inputs, out, noted)
+
+    monkeypatch.setattr(Tape, "_record", spy)
+    names = sorted(params)
+    order = NODE_INPUTS.get(name, list(params))
+    for k in range(len(names) + 1):
+        for tracked in itertools.combinations(names, k):
+            p = {n: Tensor(params[n].data, requires_grad=n in tracked) for n in names}
+            calls.clear()
+            with Tape() as tape:
+                out(p)
+            if not tracked:
+                assert tape.nodes == [] and calls == []
+                continue
+            (_, refs, _, _), = tape.nodes
+            assert refs == [p[n] if n in tracked else None for n in order]
+            assert calls == [tuple(n in tracked for n in order)]
+
+
 def test_embedding_lookup_gradient_scatter_adds():
     # exact: a repeated id's row receives the sum of its upstream rows
     table = Tensor(np.zeros((6, 4)), requires_grad=True)

@@ -84,15 +84,16 @@ def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
     _, model, recs, opt = setup(total_steps=2, batch_size=4)
     real_record = Tape._record
 
-    def poison_relu(self, op, inputs, out, backward):
+    def poison_relu(self, op, inputs, out, grads):
         # the loss stays finite; only the gradient through relu turns NaN
         if op == "relu":
-            real_backward = backward
+            real_grads = grads
 
-            def backward(g):
-                return tuple(None if x is None else np.full_like(x, np.nan)
-                             for x in real_backward(g))
-        real_record(self, op, inputs, out, backward)
+            def grads(*tracked):
+                real_backward = real_grads(*tracked)
+                return lambda g: tuple(None if x is None else np.full_like(x, np.nan)
+                                       for x in real_backward(g))
+        real_record(self, op, inputs, out, grads)
 
     monkeypatch.setattr(Tape, "_record", poison_relu)
     params = {n: t.data.copy() for n, t in model.store.items()}
@@ -113,14 +114,15 @@ def test_nonfinite_gradient_abort_names_first_nonfinite_forward_op(monkeypatch):
     model.saclm.score_b1.data[0] = -np.inf
     real_record = Tape._record
 
-    def poison_relu(self, op, inputs, out, backward):
+    def poison_relu(self, op, inputs, out, grads):
         if op == "relu":
-            real_backward = backward
+            real_grads = grads
 
-            def backward(g):
-                return tuple(None if x is None else np.full_like(x, np.nan)
-                             for x in real_backward(g))
-        real_record(self, op, inputs, out, backward)
+            def grads(*tracked):
+                real_backward = real_grads(*tracked)
+                return lambda g: tuple(None if x is None else np.full_like(x, np.nan)
+                                       for x in real_backward(g))
+        real_record(self, op, inputs, out, grads)
 
     monkeypatch.setattr(Tape, "_record", poison_relu)
     with pytest.raises(TrainAbort, match="non-finite gradient for "
