@@ -175,7 +175,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except (ConfigError, DataFormatError, CheckpointError, UsageError,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainAbort, AssertionError) as exc:

@@ -235,8 +235,11 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def dump_config(cfg: Config) -> str:

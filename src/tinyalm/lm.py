@@ -150,7 +150,7 @@ class ToyDecoder:
             if cache is not None:
                 k, v = cache.extend_layer(i, k.data, v.data)
             ctx = attention(q, k, v, allowed, heads=cfg.lm_heads)
-            x = add(x, matmul(ctx, layer["wo"]))
+            x = linear(ctx, layer["wo"], x)  # x + ctx @ wo
 
             f = layer_norm(x, *layer["ln2"])
             ffn = linear(relu(linear(f, layer["w1"], layer["b1"])),

@@ -123,14 +123,12 @@ class Model:
                           logits=logits, seq=seq, fused=fused, zfeat=zfeat,
                           phi=phi)
 
-    def greedy_decode(self, record: Record, max_new: int = None) -> list:
-        """Argmax decoding of one example; ties resolve to the lowest id.
-
-        One decoder call reads [audio prefix; prompt; BOS] into a key/value
-        cache, then each further call feeds only the token just emitted."""
+    def greedy_decode(self, record: Record) -> list:
+        """Argmax decoding of one example, at most `cfg.max_tokens + 2` tokens
+        with ties to the lowest id: one decoder call reads [audio prefix;
+        prompt; BOS] into a key/value cache, then each further call feeds
+        only the token just emitted."""
         cfg = self.cfg
-        if max_new is None:
-            max_new = cfg.max_tokens + 2
         *_, audio_prefix, audio_valid, prompt_vecs = self.front_end([record])
 
         # a lone-EOS target makes the text segment just BOS
@@ -138,7 +136,7 @@ class Model:
                              prompt_vecs, [[cfg.eos_id]])
         hidden, key_valid, cache = seq.hidden, seq.key_valid, DecodeCache()
         out = []
-        for step in range(max_new):
+        for step in range(cfg.max_tokens + 2):
             if step:
                 hidden = self.decoder.embed_tokens(np.array([out[-1:]]))
                 key_valid = None

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, attention, concat, layer_norm, matmul, mul,
-                       reshape)
+from .autodiff import (Tensor, add, attention, concat, layer_norm, linear, matmul,
+                       mul, reshape)
 from .config import Config
 from .params import ParamStore, seeded_rng
 
@@ -76,10 +76,9 @@ class WindowQFormer:
         # The query side does not depend on the input: run it once on
         # [n_q, d] and let it broadcast against the [B*n_win, ...] windows.
         h = layer_norm(self.query, *self.self_ln)
-        q1 = add(self.query, matmul(attention(matmul(h, self.self_wq),
-                                              matmul(h, self.self_wk),
-                                              matmul(h, self.self_wv)),
-                                    self.self_wo))
+        q1 = linear(attention(matmul(h, self.self_wq), matmul(h, self.self_wk),
+                              matmul(h, self.self_wv)),
+                    self.self_wo, self.query)  # query + attention @ wo
 
         if w_len > 1:
             ctx = attention(matmul(layer_norm(q1, *self.cross_ln), self.cross_wq),

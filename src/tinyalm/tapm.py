@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, embedding_lookup, matmul, mean, mul, relu,
-                       reshape, softmax, sum_, transpose)
+from .autodiff import (Tensor, add, embedding_lookup, linear, matmul, mean, mul,
+                       relu, reshape, softmax, sum_, transpose)
 from .config import Config
 from .params import ParamStore, seeded_rng
 
@@ -57,8 +57,8 @@ class Tapm:
         """Dense combination: every expert runs, outputs weighted by w."""
         (B, L, d), E = z.shape, w.shape[-1]
         x = reshape(z, (B * L, d))
-        hidden = relu(add(matmul(x, self.w1), self.b1))  # [E, B·L, h]
-        out = reshape(add(matmul(hidden, self.w2), self.b2), (E, B, L, d))
+        hidden = relu(linear(x, self.w1, self.b1))  # [E, B·L, h]
+        out = reshape(linear(hidden, self.w2, self.b2), (E, B, L, d))
         weights = reshape(transpose(w), (E, B, 1, 1))
         return sum_(mul(out, weights), axis=0)
 

@@ -163,10 +163,12 @@ def test_criterion_4_lora_noop_and_rank(paired_lambda_runs):
            f"ranks {ranks} all <= 8")
 
 
+C5_RECIPE = dict(total_steps=3000, lr=3e-3, batch_size=8, seed=0)
+
+
 def test_criterion_5_overfit_32_examples():
     t0 = time.monotonic()
-    model, _, recs, rows = train_model(total_steps=3000, lr=3e-3,
-                                       batch_size=8, seed=0)
+    model, _, recs, rows = train_model(**C5_RECIPE)
     metrics = evaluate(model, recs)
     elapsed = time.monotonic() - t0
     ok = (metrics["mean_L_CE"] < 0.1 and metrics["exact_match"] == 1.0

@@ -264,6 +264,28 @@ def test_checkpoint_directory_is_usage_error(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_out_dir_that_is_a_file_is_usage_error(workdir, capsys):
+    # os.makedirs raises FileExistsError, an OSError the CLI did not name
+    root, cfg, data = workdir
+    rc = main(["train", "--config", str(cfg), "--data", str(data),
+               "--out-dir", str(data)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_config_that_is_not_utf8_is_usage_error(workdir, capsys):
+    root, cfg, data = workdir
+    bad = root / "bad.txt"
+    bad.write_bytes(SMALL.encode() + b"# \xff\n")
+    rc = main(["train", "--config", str(bad), "--data", str(data),
+               "--out-dir", str(root / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert not (root / "x").exists()
+
+
 def test_gradcheck_op_scope_passes(capsys):
     rc = main(["gradcheck", "--scope", "op"])
     captured = capsys.readouterr().out

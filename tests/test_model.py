@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from tinyalm.autodiff import Tape, concat
 from tinyalm.config import Config
@@ -163,6 +164,20 @@ def test_gradients_reach_all_trainable_groups():
         assert count > 0, f"no gradient reached group {g}"
     for name, t in model.store.frozen_items():
         assert t.grad is None, name
+
+
+@pytest.mark.parametrize("over", [{}, {"d_model": 128, "window_frames": 1}],
+                         ids=["default", "d128-w1"])
+def test_every_affine_map_is_one_linear_node(over):
+    # x @ w plus a bias or a residual is one `linear` node, never an `add`
+    # of a `matmul`'s output
+    cfg, model, recs = make(**over)
+    with Tape() as tape:
+        model.forward_batch(recs[:4], seeded_rng(0))
+    ops = [op for op, *_ in tape.nodes]
+    split = [i for i, (op, refs, *_) in enumerate(tape.nodes) if op == "add"
+             and any(type(r) is int and ops[r] == "matmul" for r in refs)]
+    assert split == []
 
 
 def test_saclm_rng_controls_only_negatives():

@@ -131,7 +131,7 @@ def test_project_tape_size_independent_of_expert_count(n_experts):
                requires_grad=True)
     with Tape() as tape:
         tp.project(z, w)
-    assert len(tape.nodes) == 11  # the same for every bank size
+    assert len(tape.nodes) == 9  # the same for every bank size
 
 
 def test_routing_differentiable_into_router_and_etext():

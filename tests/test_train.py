@@ -191,7 +191,7 @@ def test_evaluate_perfect_oracle_fixture():
         def __getattr__(self, k):
             return getattr(self.inner, k)
 
-        def greedy_decode(self, rec, max_new=None):
+        def greedy_decode(self, rec):
             return rec.targets.tolist()
 
     m = evaluate(Oracle(model), recs)

@@ -1,0 +1,63 @@
+"""Float64 trajectory oracle: two short training runs in float64, their
+trainables projected onto 32 seeded random directions and compared with
+the values in `trajectory_float64.json`, to 1e-12 relative in L2.
+
+In float64 a change that only reorders rounding stays near 1e-15 after
+these runs, while a small change of logic (a `layer_norm` eps of 1.01e-5
+for 1e-5) reads 3e-4 and more, so the test tells the two apart where the
+float32 digests of `tools/train_digest.py` cannot. A change that moves the
+logic on purpose rewrites the file and says why:
+
+    PYTHONPATH=src python3 tests/test_trajectory.py
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from tinyalm.config import Config
+from tinyalm.data import gen_dataset
+from tinyalm.model import Model
+from tinyalm.optim import AdamW
+from tinyalm.params import seeded_rng
+from tinyalm.train import run_training
+
+from test_acceptance import C5_RECIPE, C6_EXPERIMENT
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "trajectory_float64.json")
+RUNS = {"c5": (C5_RECIPE, 30), "c6": (C6_EXPERIMENT, 20)}
+N_DIRECTIONS = 32
+
+
+def projections(name: str) -> np.ndarray:
+    """The run's trainables after its steps, on N_DIRECTIONS directions
+    drawn tensor by tensor in the store's order."""
+    over, steps = RUNS[name]
+    cfg = Config(**over, dtype="float64")
+    model = Model(cfg)
+    run_training(model, AdamW(model.store, cfg), gen_dataset(cfg, 0, 32),
+                 stop_after=steps)
+    rng = seeded_rng(2100)
+    proj = np.zeros(N_DIRECTIONS)
+    for _, t in model.store.trainable_items():
+        assert t.data.dtype == np.float64
+        proj += rng.standard_normal((N_DIRECTIONS, t.size)) @ t.data.ravel()
+    return proj
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_float64_trajectory_matches_reference(name):
+    with open(REFERENCE) as f:
+        ref = np.array(json.load(f)[name])
+    got = projections(name)
+    dist = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+    assert dist <= 1e-12, f"{name}: relative L2 distance {dist:.3e}"
+
+
+if __name__ == "__main__":
+    with open(REFERENCE, "w") as f:
+        json.dump({name: projections(name).tolist() for name in sorted(RUNS)},
+                  f, indent=1)
+        f.write("\n")
