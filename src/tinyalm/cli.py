@@ -44,6 +44,8 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.ablate:
         cfg = dataclasses.replace(cfg, ablate=args.ablate)
+    if cfg.dtype != "float32":  # fail now, not at save after the whole run
+        raise UsageError(f"train saves float32 checkpoints; dtype is {cfg.dtype}")
     records = load_dataset(args.data, cfg)
     model = Model(cfg)
     opt = AdamW(model.store, cfg)
@@ -102,9 +104,10 @@ def _cmd_inspect_routing(args) -> int:
 
     cfg, model, step = _restore(args.ckpt)
     records = load_dataset(args.data, cfg)
-    if cfg.ablate == "tapm":
-        raise UsageError("checkpoint was trained with TAPM disabled; "
-                         "there is no routing to inspect")
+    if cfg.ablate == "tapm" or (cfg.ablate == "saclm" and args.dump_scores):
+        what = "routing to inspect" if cfg.ablate == "tapm" else "scores to dump"
+        raise UsageError(f"checkpoint was trained with {cfg.ablate.upper()} disabled; "
+                         f"it has no {what}")
     routing = {t: [] for t in TASKS}
     dump = [] if args.dump_scores else None
     for batch, out in eval_batches(model, records):
@@ -119,7 +122,8 @@ def _cmd_inspect_routing(args) -> int:
         with open(args.dump_scores, "w") as f:
             for row in dump:
                 f.write(json.dumps(row) + "\n")
-        print(f"wrote per-example scores to {args.dump_scores}")
+        print(f"wrote scores of {len(dump)} of {len(records)} records "
+              f"to {args.dump_scores}")
     print(f"checkpoint step {step}, {len(records)} records")
     header = "task      " + "".join(f"  expert{i}" for i in range(cfg.n_experts))
     print(header)

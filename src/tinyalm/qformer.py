@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, attention, concat, layer_norm, linear, matmul,
-                       mul, reshape)
+from .autodiff import (Tensor, attention, concat, layer_norm, linear, matmul, mul,
+                       reshape)
 from .config import Config
 from .params import ParamStore, seeded_rng
 
@@ -21,11 +21,17 @@ class QueryFeatures:
     empty_windows: int        # windows with zero valid frames (diagnostic)
 
 
+def attend(query, kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, allowed=None):
+    """Attention of query() @ wq over kv @ wk, kv @ wv. One key weighs exactly 1 (its q
+    and k gradients are 0): kv @ wv alone is that, bit for bit, and query() never runs."""
+    if kv.shape[-2] == 1:
+        return matmul(kv, wv)
+    return attention(matmul(query(), wq), matmul(kv, wk), matmul(kv, wv), allowed)
+
+
 class WindowQFormer:
     def __init__(self, cfg: Config, store: ParamStore):
         self.cfg = cfg
-        self.n_queries = cfg.n_queries
-        self.window = cfg.window_frames
         d, dt = cfg.d_model, cfg.np_dtype
         rng = seeded_rng(cfg.model_seed, 201)
 
@@ -49,17 +55,13 @@ class WindowQFormer:
         self.cross_wo = w("cross.wo", (d, d))
         self.out_ln = ln("out_ln")
 
-    def n_windows(self, t: int) -> int:
-        return -(-t // self.window)
-
     def forward(self, proj_u: Tensor, mask: np.ndarray) -> QueryFeatures:
         """proj_u: [B, T, d_model]; mask: [B, T] with 1.0 at valid frames."""
         batch, t, d = proj_u.shape
         if t < 1:
             raise ValueError("qformer requires at least one input frame")
-        w_len = self.window
-        n_win = self.n_windows(t)
-        n_q = self.n_queries
+        w_len, n_q = self.cfg.window_frames, self.cfg.n_queries
+        n_win = -(-t // w_len)
         dt = proj_u.dtype
 
         pad = n_win * w_len - t
@@ -76,20 +78,13 @@ class WindowQFormer:
         # The query side does not depend on the input: run it once on
         # [n_q, d] and let it broadcast against the [B*n_win, ...] windows.
         h = layer_norm(self.query, *self.self_ln)
-        q1 = linear(attention(matmul(h, self.self_wq), matmul(h, self.self_wk),
-                              matmul(h, self.self_wv)),
+        q1 = linear(attend(lambda: h, h, self.self_wq, self.self_wk, self.self_wv),
                     self.self_wo, self.query)  # query + attention @ wo
-
-        if w_len > 1:
-            ctx = attention(matmul(layer_norm(q1, *self.cross_ln), self.cross_wq),
-                            matmul(u_w, self.cross_wk), matmul(u_w, self.cross_wv),
-                            allowed=(mask_w > 0)[:, None, :])
-        else:  # one key per window weighs exactly 1: p @ v with p = 1; q and k get 0
-            ctx = matmul(Tensor(np.ones((batch * n_win, n_q, 1), dtype=dt)),
-                         matmul(u_w, self.cross_wv))
-        attended = matmul(ctx, self.cross_wo)
+        ctx = attend(lambda: layer_norm(q1, *self.cross_ln), u_w, self.cross_wq,
+                     self.cross_wk, self.cross_wv, allowed=(mask_w > 0)[:, None, :])
         # empty windows contribute nothing: the self-attended query passes through
-        q2 = add(q1, mul(attended, Tensor(has_valid[:, None, None])))
+        keep = np.broadcast_to(has_valid[:, None, None], (batch * n_win, n_q, 1))
+        q2 = linear(mul(ctx, Tensor(keep)), self.cross_wo, q1)
 
         z = layer_norm(q2, *self.out_ln)
         z = reshape(z, (batch, n_win * n_q, d))

@@ -71,6 +71,20 @@ def test_ablate_flag_sets_the_config_key(workdir, capsys):
     assert "TAPM disabled" in capsys.readouterr().err
 
 
+def test_dump_scores_without_saclm_is_usage_error(workdir, capsys):
+    # it used to write an empty file and exit 0
+    root, cfg, data = workdir
+    out, scores = root / "ablated", root / "scores.jsonl"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out-dir", str(out), "--ablate", "saclm"]) == 0
+    capsys.readouterr()
+    rc = main(["inspect-routing", "--ckpt", str(out / "final.ckpt"),
+               "--data", str(data), "--dump-scores", str(scores)])
+    assert rc == 2
+    assert "SACLM disabled" in capsys.readouterr().err
+    assert not scores.exists()
+
+
 def test_restore_reads_the_checkpoint_once(workdir, monkeypatch):
     root, cfg, data = workdir
     out = root / "run"
@@ -101,9 +115,12 @@ def test_inspect_routing_uses_evaluates_batches(tmp_path, capsys):
     assert main(["train", "--config", str(spec), "--data", str(data),
                  "--out-dir", str(run)]) == 0
     capsys.readouterr()
+    scores = tmp_path / "scores.jsonl"
     assert main(["inspect-routing", "--ckpt", str(run / "final.ckpt"),
-                 "--data", str(data)]) == 0
+                 "--data", str(data), "--dump-scores", str(scores)]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert f"wrote scores of 2 of 3 records to {scores}" in lines
+    assert len(scores.read_text().splitlines()) == 2
 
     cfg = load_config(str(spec))
     model = Model(cfg)
@@ -194,6 +211,20 @@ def test_infinite_lr_is_usage_error(workdir, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "lr must be finite, got inf" in err
+    assert not (root / "x").exists()
+
+
+def test_float64_train_is_usage_error_before_step_0(workdir, capsys):
+    # checkpoints store float32: a float64 run used to fail only at its save
+    root, cfg, data = workdir
+    f64 = root / "f64.txt"
+    f64.write_text(SMALL + "dtype = float64\n")
+    rc = main(["train", "--config", str(f64), "--data", str(data),
+               "--out-dir", str(root / "x")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "float32" in captured.err
+    assert "step=" not in captured.out
     assert not (root / "x").exists()
 
 

@@ -180,6 +180,31 @@ def test_every_affine_map_is_one_linear_node(over):
     assert split == []
 
 
+@pytest.mark.parametrize("over", [{}, {"d_model": 128, "window_frames": 1}],
+                         ids=["default", "d128-w1"])
+def test_qformer_records_attention_only_over_several_keys(over, monkeypatch):
+    # one query (one self-attention key) and, at W=1, one frame per window
+    # weigh exactly 1: those attentions are their value products alone
+    cfg, model, recs = make(**over)
+    forward, spans = model.qformer.forward, []
+
+    def traced(*args):
+        start = len(tape.nodes)
+        out = forward(*args)
+        spans.append((start, len(tape.nodes)))
+        return out
+
+    monkeypatch.setattr(model.qformer, "forward", traced)
+    with Tape() as tape:
+        model.forward_batch(recs[:4], seeded_rng(0))
+    (start, stop), = spans
+    ops = [op for op, *_ in tape.nodes[start:stop]]
+    assert ops.count("attention") == (cfg.window_frames > 1)
+    assert "add" not in ops
+    unread = {id(model.store[f"qformer.self.{w}"]) for w in ("wq", "wk")}
+    assert not any(id(r) in unread for _, refs, *_ in tape.nodes for r in refs)
+
+
 def test_saclm_rng_controls_only_negatives():
     cfg, model, recs = make()
     a = model.forward_batch(recs[:4], seeded_rng(1))

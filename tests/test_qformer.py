@@ -81,7 +81,8 @@ def test_doubling_input_doubles_output():
 
 
 def test_masked_positions_get_exactly_zero_weight(monkeypatch):
-    _, _, qf = make_qf(window_frames=8)
+    # two queries, so the self-attention has more than one key and runs too
+    _, _, qf = make_qf(window_frames=8, n_queries=2)
     mask = np.ones((1, 8), dtype=np.float32)
     mask[0, 5:] = 0.0
     _, _, cross = run_attention(monkeypatch, qf, 1, 8, 64, mask=mask)
@@ -91,10 +92,10 @@ def test_masked_positions_get_exactly_zero_weight(monkeypatch):
 
 
 def test_weights_sum_to_one_over_valid(monkeypatch):
-    _, _, qf = make_qf()
+    _, _, qf = make_qf(n_queries=2)
     z, self_att, cross = run_attention(monkeypatch, qf, 2, 19, 64, seed=3)
-    assert z.values.shape[1] == 3
-    assert cross.shape == (2 * 3, 1, 8)  # [B * n_win, N, W]
+    assert z.values.shape[1] == 3 * 2
+    assert cross.shape == (2 * 3, 2, 8)  # [B * n_win, N, W]
     for w in (self_att, cross):
         assert np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-6)
 
@@ -129,8 +130,9 @@ def test_empty_window_skipped_and_counted():
     assert np.all(np.isfinite(za.values.data))
 
 
-def test_gradient_reaches_query():
-    cfg, store, qf = make_qf()
+@pytest.mark.parametrize("n_queries", [1, 2])
+def test_gradient_reaches_query(n_queries):
+    cfg, store, qf = make_qf(n_queries=n_queries)
     rng = seeded_rng(2)
     u = Tensor(rng.standard_normal((2, 12, 64)).astype(np.float32))
     with Tape() as tape:
@@ -139,13 +141,15 @@ def test_gradient_reaches_query():
         tape.backward(loss)
     g = qf.query.grad
     assert g is not None and np.any(g != 0.0)
-    for name, t in store.trainable_items():
-        assert t.grad is not None, name
+    # one query is one key for the self-attention: its q and k never run
+    skipped = {"qformer.self.wq", "qformer.self.wk"} if n_queries == 1 else set()
+    assert {name for name, t in store.trainable_items() if t.grad is None} == skipped
 
 
 def w1_reference(qf, u, mask):
-    """The Q-Former forward with one frame per window, its cross-attention
-    run through ad.attention over the one key of each window."""
+    """The Q-Former forward with one frame per window, both its attentions
+    run through ad.attention: the cross-attention over the one key of each
+    window, the self-attention over n_queries keys."""
     batch, t, d = u.shape
     u_w = ad.reshape(u, (batch * t, 1, d))
     mask_w = mask.reshape(batch * t, 1)
@@ -161,7 +165,7 @@ def w1_reference(qf, u, mask):
                                       allowed=(mask_w > 0)[:, None, :]),
                          qf.cross_wo)
     q2 = ad.add(q1, ad.mul(attended, Tensor(has_valid[:, None, None])))
-    return ad.reshape(ad.layer_norm(q2, *qf.out_ln), (batch, t * qf.n_queries, d))
+    return ad.reshape(ad.layer_norm(q2, *qf.out_ln), (batch, t * qf.cfg.n_queries, d))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -187,6 +191,8 @@ def test_one_frame_windows_match_the_attention_reference(n_queries, dtype):
     z_ref, ref = run(w1_reference)
     skipped = {f"qformer.{n}" for n in ("cross_ln.gain", "cross_ln.bias",
                                         "cross.wq", "cross.wk")}
+    if n_queries == 1:  # one query is one key for the self-attention too
+        skipped |= {"qformer.self.wq", "qformer.self.wk"}
     assert {n for n, g in grads.items() if g is None} == skipped
     assert all(not ref[n].any() for n in skipped)  # exactly 0 in the reference
     pairs = [(z, z_ref)] + [(grads[n], ref[n]) for n in ref if n not in skipped]

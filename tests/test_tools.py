@@ -58,6 +58,14 @@ def test_train_digest_checkpoint_line_repeats():
     assert tool.checkpoint_digest(2) == line
 
 
+def test_train_digest_float64_mode_reads_zero_against_its_own_checkout(capsys):
+    tool = import_tool("train_digest")
+    assert tool.main(["--float64", tool.ROOT]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["c5", "c6"]
+    assert all(line.endswith(" 0.000e+00") for line in lines)
+
+
 def test_step_memory_counts_each_base_array_once():
     tool = import_tool("step_memory")
     shared, own, param = np.zeros(100), np.ones(7), np.ones(5)

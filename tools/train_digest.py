@@ -15,12 +15,24 @@ it from the root of two checkouts, say a parent and a change, and compare
 the lines:
 
     PYTHONPATH=src python3 tools/train_digest.py
+
+With `--float64 OTHER` it prints instead, for each run of
+tests/test_trajectory.py (`c5` and `c6`, trained in float64), the relative
+L2 distance between this checkout's trainable projections and those of the
+checkout at OTHER. Each side runs in a subprocess with its own `src` and
+`tests` on the path. A change that keeps every bit reads 0, one that only
+reorders rounding 1e-15 or less, and a change of logic 1e-4 and more:
+
+    PYTHONPATH=src python3 tools/train_digest.py --float64 ../parent
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -115,7 +127,36 @@ def checkpoint_digest(steps: int = CHECKPOINT_STEPS) -> str:
             f"{hashlib.sha256(body).hexdigest()[:16]}")
 
 
-def main() -> int:
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+PROJECT = ("import json\nfrom test_trajectory import RUNS, projections\n"
+           "print(json.dumps({n: projections(n).tolist() for n in sorted(RUNS)}))")
+
+
+def trajectory_projections(root: str) -> dict:
+    """{run: projections} of tests/test_trajectory.py, computed by the
+    checkout at root in a subprocess."""
+    path = os.pathsep.join(os.path.join(root, d) for d in ("src", "tests"))
+    out = subprocess.run([sys.executable, "-c", PROJECT], check=True,
+                         stdout=subprocess.PIPE, text=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    return {name: np.array(p) for name, p in json.loads(out).items()}
+
+
+def float64_distances(other: str) -> list:
+    here, there = trajectory_projections(ROOT), trajectory_projections(other)
+    return [f"{name} float64 trajectory relative L2 distance to {other} "
+            f"{np.linalg.norm(here[name] - there[name]) / np.linalg.norm(there[name]):.3e}"
+            for name in sorted(here)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--float64", metavar="OTHER",
+                        help="root of the checkout to compare float64 trajectories with")
+    args = parser.parse_args(argv)
+    if args.float64:
+        print("\n".join(float64_distances(args.float64)))
+        return 0
     for name, steps in RUNS:
         print("\n".join(digest(name, steps)), flush=True)
     print(decode_digest(), flush=True)
