@@ -46,6 +46,8 @@ def _cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, ablate=args.ablate)
     if cfg.dtype != "float32":  # fail now, not at save after the whole run
         raise UsageError(f"train saves float32 checkpoints; dtype is {cfg.dtype}")
+    if cfg.batch_size < 2 and cfg.ablate != "saclm":  # nor at step 0
+        raise UsageError("SACLM's in-batch negatives need batch_size >= 2")
     records = load_dataset(args.data, cfg)
     model = Model(cfg)
     opt = AdamW(model.store, cfg)
@@ -70,7 +72,10 @@ def _cmd_train(args) -> int:
 def _restore(ckpt_path):
     # the checkpoint carries its own config: read and hash the file once
     head = peek_checkpoint(ckpt_path)
-    cfg = parse_config(head["config_text"])
+    try:
+        cfg = parse_config(head["config_text"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{ckpt_path}: embedded config: {exc}") from None
     model = Model(cfg)
     apply_checkpoint(head, model.store)
     return cfg, model, head["step"]

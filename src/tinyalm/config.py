@@ -43,8 +43,6 @@ class Config:
     max_seq: int = 128
     prompt_vocab: int = 8
     threshold: float = 0.5
-    eps_norm: float = 1e-8
-    eps_agg: float = 1e-8
     dtype: str = "float32"
     model_seed: int = 0
 
@@ -76,9 +74,6 @@ class Config:
     alpha_mix: float = 0.5
     lambda_sparsity: float = 0.01
     margin: float = 0.2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     ablate: str = "none"  # one of ABLATIONS
@@ -156,12 +151,6 @@ class Config:
             raise ConfigError(f"warmup_ratio must lie in (0,1), got {self.warmup_ratio}")
         if not (0.0 <= self.alpha_mix <= 1.0):
             raise ConfigError(f"alpha_mix must lie in [0,1], got {self.alpha_mix}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ConfigError(f"{name} must lie in [0,1), got {getattr(self, name)}")
-        for name in ("adam_eps", "eps_norm", "eps_agg"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("lr", "weight_decay", "margin", "lambda_sparsity"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -240,6 +229,8 @@ def load_config(path) -> Config:
             return parse_config(fh.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def dump_config(cfg: Config) -> str:

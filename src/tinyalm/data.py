@@ -200,15 +200,18 @@ class Reader:
 
 def load_dataset(path, cfg: Config) -> list:
     """Records of a dataset written under cfg's task spec. Raises
-    DataFormatError on damage, a foreign spec, or a record the spec
-    cannot produce."""
+    DataFormatError on damage, a foreign spec, no records (gen_dataset
+    makes at least one), or a record the spec cannot produce."""
     r = Reader.open(path, MAGIC, FORMAT_VERSION, DataFormatError)
     spec, want = r.text(*r.unpack("<H")), spec_line(cfg)
     if spec != want:
         r.fail(f"dataset spec does not match the config\n"
                f"  data:   {spec}\n  config: {want}")
+    (count,) = r.unpack("<I")
+    if count == 0:
+        r.fail("no records")
     records, motifs = [], motif_table(cfg)
-    for i in range(*r.unpack("<I")):
+    for i in range(count):
         body = Reader(r.take(*r.unpack("<I")), f"{path}: record {i}",
                       DataFormatError)
         rec = _unpack_record(body, i)

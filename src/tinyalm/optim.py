@@ -20,6 +20,9 @@ _EXEMPT_LEAVES = ("bias", "gain", "b1", "b2")
 
 _CHUNK = 1 << 14  # elements per pass of the update: small scratch buffers
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def lr_at(step: int, total: int, peak: float, warm_ratio: float) -> float:
     """Linear 0 -> peak over floor(warm_ratio * total) steps, then linear
@@ -68,38 +71,35 @@ class AdamW:
 
     def gradient(self) -> np.ndarray:
         """The flat gradient the trainables' grads view. The first call
-        flattens the store; made between the first forward and its backward,
-        which frees the tape, it puts both buffers atop the heap that forward
-        grew, so glibc stops trimming it."""
+        flattens the store; `train_step` makes it (by `zero_grad`) between the
+        first forward and its backward, which frees the tape, so both buffers
+        land atop the heap that forward grew and glibc stops trimming it."""
         if self.flat is None:
             self.flat, self._grad = self.store.flatten(self._order)
             self._scratch = np.empty((2, min(_CHUNK, self.flat.size)), self.flat.dtype)
         return self._grad
 
     def zero_grad(self):
-        """Zero the trainables' grads with one fill; with none set, do nothing."""
-        if self.flat is not None or any(self.store[n].grad is not None for n in self._order):
-            self.gradient().fill(0)
+        """Zero the trainables' grads with one fill (the first call flattens)."""
+        self.gradient().fill(0)
 
     def step(self, lr: float):
         """One update from the trainables' gradients."""
         grad = self.gradient()
-        cfg = self.cfg
         self.step_count += 1
         t = self.step_count
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        c1 = 1.0 - b1 ** t
-        c2 = 1.0 - b2 ** t
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
         for lo in range(0, self.flat.size, _CHUNK):
             g, m, v, p = (a[lo:lo + _CHUNK] for a in (grad, self._m, self._v, self.flat))
             tmp, update = self._scratch[:, :g.size]
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=tmp)
-            v *= b2
-            v += np.multiply(np.multiply(g, 1.0 - b2, out=tmp), g, out=tmp)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=tmp)
+            v *= BETA2
+            v += np.multiply(np.multiply(g, 1.0 - BETA2, out=tmp), g, out=tmp)
             # update = (m / c1) / (sqrt(v / c2) + eps), + wd * p where decayed
-            np.add(np.sqrt(np.divide(v, c2, out=tmp), out=tmp), cfg.adam_eps, out=tmp)
+            np.add(np.sqrt(np.divide(v, c2, out=tmp), out=tmp), EPS, out=tmp)
             np.divide(np.divide(m, c1, out=update), tmp, out=update)
             k = min(max(self.n_decay - lo, 0), g.size)
-            update[:k] += np.multiply(p[:k], cfg.weight_decay, out=tmp[:k])
+            update[:k] += np.multiply(p[:k], self.cfg.weight_decay, out=tmp[:k])
             p -= np.multiply(update, lr, out=update)

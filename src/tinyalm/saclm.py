@@ -16,6 +16,8 @@ from .autodiff import (Tensor, add, concat, cosine_distance, div, linear,
 from .config import Config, ConfigError
 from .params import ParamStore, seeded_rng
 
+EPS_AGG = 1e-8  # keeps aggregate's division finite on a row whose weights are all 0
+
 
 @dataclass
 class SaclmOutput:
@@ -109,7 +111,7 @@ class Saclm:
         b, t_a, _ = phi.shape
         w = reshape(mul(d, s), (b, t_a, 1))
         num = sum_(mul(self.agg_net(phi), w), axis=1)
-        return div(num, add(sum_(w, axis=1), self.cfg.eps_agg))
+        return div(num, add(sum_(w, axis=1), EPS_AGG))
 
     def sample_negatives(self, pooled: Tensor, rng: np.random.Generator):
         perm = derangement(pooled.shape[0], rng)
@@ -120,7 +122,7 @@ class Saclm:
         b, d = t_pos.shape
         texts = concat([reshape(t_pos, (1, b, d)), reshape(t_neg, (1, b, d))])
         # one [2, B] distance call: the anchor's norm is computed once
-        dist = cosine_distance(phi_p, texts, self.cfg.eps_norm)
+        dist = cosine_distance(phi_p, texts)
         gap = sub(slice_(dist, 0), slice_(dist, 1))
         return mean(relu(add(gap, self.cfg.margin)))
 

@@ -25,8 +25,6 @@ def batch_indices(step: int, batch_size: int, n: int) -> list:
 
 
 def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
-    opt.zero_grad()
-
     def forward():  # deterministic: same parameters, records and rng
         return model.forward_batch(records, seeded_rng(model.cfg.seed, 70000 + step))
 
@@ -35,7 +33,7 @@ def train_step(model: Model, opt: AdamW, records: list, step: int) -> dict:
         if not np.isfinite(out.loss.data):
             raise TrainAbort(f"non-finite loss at step {step}; first bad "
                              f"tensor came from op {first_nonfinite(forward)!r}")
-        opt.gradient()  # the first call flattens, atop the heap this forward grew
+        opt.zero_grad()  # the first call flattens, atop the heap this forward grew
         tape.backward(out.loss)
     if not np.isfinite(opt.gradient()).all():
         name = next(n for n, p in opt.store.trainable_items()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from tinyalm.checkpoint import load_checkpoint
+from tinyalm.checkpoint import load_checkpoint, save_checkpoint
 from tinyalm.cli import main
-from tinyalm.config import load_config
-from tinyalm.data import Reader, file_digest, load_dataset
+from tinyalm.config import dump_config, load_config
+from tinyalm.data import Reader, file_digest, load_dataset, save_dataset
 from tinyalm.model import Model
+from tinyalm.optim import AdamW
 from tinyalm.train import evaluate
 
 SMALL = "total_steps = 12\nbatch_size = 4\nlr = 0.001\n"
@@ -170,7 +171,12 @@ def test_unknown_config_key_is_usage_error(workdir, capsys):
     ("zero_encoder = 5", "unknown key 'zero_encoder'"),
     ("n_experts = 0", "n_experts must be >= 1"),
     ("max_seq = 10", "max_seq 10 is shorter"),
-    ("adam_beta1 = 1.0", "adam_beta1 must lie in [0,1)"),
+    # Adam's betas and eps and SACLM's eps are constants in optim.py and saclm.py
+    ("adam_beta1 = 1.0", "unknown key 'adam_beta1'"),
+    ("adam_beta2 = 0.999", "unknown key 'adam_beta2'"),
+    ("adam_eps = 1e-08", "unknown key 'adam_eps'"),
+    ("eps_norm = 1e-08", "line 4: unknown key 'eps_norm'"),
+    ("eps_agg = 1e-08", "unknown key 'eps_agg'"),
     ("d_text = -1", "d_text must be >= 1"),
     ("lora_rank = -1", "lora_rank must be >= 1"),
     ("seed = -1", "seed must be >= 0"),
@@ -184,8 +190,68 @@ def test_malformed_config_is_usage_error(workdir, capsys, line, message):
                "--out-dir", str(root / "x")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {bad}: ") and message in err
     assert "Traceback" not in err
+    assert not (root / "x").exists()
+
+
+def untrained_checkpoint(root, cfg, extra=""):
+    """A step-0 checkpoint of cfg's model whose embedded config text is the
+    dumped config followed by `extra`."""
+    config = load_config(cfg)
+    model = Model(config)
+    path = root / "untrained.ckpt"
+    save_checkpoint(path, model.store, AdamW(model.store, config), 0,
+                    dump_config(config) + extra)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect-routing"])
+def test_checkpoint_config_error_names_the_checkpoint(workdir, capsys, command):
+    # an embedded config naming a key the namespace does not have
+    root, cfg, data = workdir
+    ckpt = untrained_checkpoint(root, cfg, "eps_norm = 1e-08\n")
+    rc = main([command, "--ckpt", str(ckpt), "--data", str(data)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {ckpt}: embedded config: line ")
+    assert "unknown key 'eps_norm'" in err
+
+
+def test_empty_dataset_is_usage_error_before_step_0(workdir, capsys):
+    root, cfg, data = workdir
+    save_dataset(data, [], load_config(cfg))
+    ckpt = untrained_checkpoint(root, cfg)
+    for argv in (["train", "--config", str(cfg), "--out-dir", str(root / "x")],
+                 ["eval", "--ckpt", str(ckpt)],
+                 ["inspect-routing", "--ckpt", str(ckpt)]):
+        rc = main(argv + ["--data", str(data)])
+        captured = capsys.readouterr()
+        assert rc == 2, argv[0]
+        assert captured.err == f"error: {data}: no records\n"
+        assert "step=" not in captured.out and "expert" not in captured.out
+    assert not (root / "x").exists()
+
+
+def test_batch_of_one_with_saclm_is_usage_error_before_step_0(workdir, capsys):
+    # SACLM draws each row's negative from another row of the batch
+    root, cfg, data = workdir
+    one = root / "one.txt"
+    one.write_text(SMALL.replace("batch_size = 4", "batch_size = 1"))
+    rc = main(["train", "--config", str(one), "--data", str(data),
+               "--out-dir", str(root / "x")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: SACLM's in-batch negatives need batch_size >= 2\n"
+    assert captured.out == ""
+    assert not (root / "x").exists()
+
+    # without SACLM a batch of one trains
+    one.write_text("total_steps = 2\nbatch_size = 1\n")
+    rc = main(["train", "--config", str(one), "--data", str(data),
+               "--out-dir", str(root / "x"), "--ablate", "saclm"])
+    assert rc == 0
+    assert "step=1 " in capsys.readouterr().out
 
 
 def test_negative_total_steps_is_usage_error(workdir, capsys):

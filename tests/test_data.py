@@ -105,6 +105,15 @@ def test_bad_magic_rejected(tmp_path):
         load_dataset(p, Config())
 
 
+def test_dataset_without_records_rejected(tmp_path):
+    # gen_dataset makes at least one record; training needs one to batch
+    cfg = Config()
+    p = tmp_path / "empty.bin"
+    save_dataset(p, [], cfg)
+    with pytest.raises(DataFormatError, match="no records"):
+        load_dataset(p, cfg)
+
+
 def test_truncated_file_rejected(tmp_path):
     cfg = Config()
     p = tmp_path / "d.bin"

@@ -3,7 +3,7 @@ import pytest
 
 from tinyalm.config import Config
 from tinyalm.model import Model
-from tinyalm.optim import AdamW, lr_at
+from tinyalm.optim import BETA1, BETA2, EPS, AdamW, lr_at
 from tinyalm.params import ParamStore
 
 
@@ -109,7 +109,7 @@ def test_missing_gradient_treated_as_zero():
     opt.step(0.1)  # decay-only movement, no crash
     assert np.all(p.data <= 3.0)
     assert np.all(np.isfinite(p.data))
-    np.testing.assert_array_equal(opt.m["w"], m1 * np.float32(cfg.adam_beta1))
+    np.testing.assert_array_equal(opt.m["w"], m1 * np.float32(BETA1))
 
 
 def test_updates_stay_float32():
@@ -127,7 +127,7 @@ def test_updates_stay_float32():
 
 def per_tensor_step(params, grads, m, v, exempt, cfg, t, lr):
     """The update as a loop over tensors, one formula per tensor."""
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = BETA1, BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params.items():
@@ -138,7 +138,7 @@ def per_tensor_step(params, grads, m, v, exempt, cfg, t, lr):
         m[name] += (1.0 - b1) * g
         v[name] *= b2
         v[name] += (1.0 - b2) * g * g
-        update = (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+        update = (m[name] / c1) / (np.sqrt(v[name] / c2) + EPS)
         if name not in exempt:
             update = update + cfg.weight_decay * p
         p -= lr * update
@@ -181,9 +181,9 @@ def test_second_optimizer_keeps_the_first_ones_parameters():
     model = Model(Config())
     first = AdamW(model.store, model.cfg)
     second = AdamW(model.store, model.cfg)
-    first.zero_grad()  # no gradient yet: nothing to zero, nothing flattened
-    assert first.flat is None
-    first.gradient()
+    assert first.flat is None  # building an optimizer flattens nothing
+    first.zero_grad()  # flattens the store and zeroes its gradient
+    assert first.flat is not None and not first.gradient().any()
     for _, p in model.store.trainable_items():
         p.grad[...] = np.ones_like(p.data)
     first.step(1e-3)
@@ -198,8 +198,9 @@ def test_second_optimizer_keeps_the_first_ones_parameters():
 
 
 def test_flattening_keeps_a_gradient_already_set():
-    # the first train step's backward runs before the store is flat, so
-    # flattening copies its gradients in; a stale one is zeroed in place
+    # a gradient set before the store is flat (a backward run outside
+    # train_step, which flattens before its first backward) is copied in by
+    # the flattening call; zero_grad zeroes the flat gradient in place
     store = ParamStore()
     a = store.param("a.w", np.ones((2, 3)), np.float32)
     b = store.param("b.w", np.ones(4), np.float32)
@@ -215,5 +216,5 @@ def test_flattening_keeps_a_gradient_already_set():
     stale = store.param("w", np.ones(3), np.float32)
     stale.grad = np.ones(3, dtype=np.float32)
     fresh = AdamW(store, Config())
-    fresh.zero_grad()  # a gradient is set, so this flattens and zeroes it
+    fresh.zero_grad()  # flattens, copying the stale gradient in, and zeroes it
     assert fresh.flat is not None and not stale.grad.any()

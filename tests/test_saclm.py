@@ -5,7 +5,7 @@ from tinyalm.autodiff import Tape, Tensor, matmul, mean, mul
 from tinyalm.config import Config, ConfigError
 from tinyalm.gradcheck import grad_check
 from tinyalm.params import ParamStore, seeded_rng
-from tinyalm.saclm import Saclm, derangement
+from tinyalm.saclm import EPS_AGG, Saclm, derangement
 
 
 def make_saclm(**over):
@@ -131,25 +131,25 @@ def test_fallback_never_empty_sweep():
 
 
 def test_aggregate_single_selected_frame():
-    cfg, _, sac = make_saclm()
+    _, _, sac = make_saclm()
     phi = Tensor(seeded_rng(8).standard_normal((1, 3, 64)).astype(np.float32))
     s = Tensor(np.array([[0.9, 0.1, 0.2]], dtype=np.float32))
     d = Tensor(np.array([[1.0, 0.0, 0.0]], dtype=np.float32))
     got = sac.aggregate(phi, s, d).data[0]
     frame = Tensor(phi.data[:, 0])
-    want = sac.agg_net(frame).data[0] * (0.9 / (0.9 + cfg.eps_agg))
+    want = sac.agg_net(frame).data[0] * (0.9 / (0.9 + EPS_AGG))
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
 def test_aggregate_identical_frames_convexity():
-    cfg, _, sac = make_saclm()
+    _, _, sac = make_saclm()
     frame = seeded_rng(9).standard_normal(64).astype(np.float32)
     phi = Tensor(np.tile(frame, (1, 3, 1)))
     s = Tensor(np.array([[0.5, 0.7, 0.9]], dtype=np.float32))
     d = Tensor(np.ones((1, 3), dtype=np.float32))
     got = sac.aggregate(phi, s, d).data[0]
     ssum = 0.5 + 0.7 + 0.9
-    want = sac.agg_net(Tensor(frame[None, :])).data[0] * (ssum / (ssum + cfg.eps_agg))
+    want = sac.agg_net(Tensor(frame[None, :])).data[0] * (ssum / (ssum + EPS_AGG))
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
 
 
@@ -244,9 +244,9 @@ def test_forward_shapes_and_losses():
     assert np.all(out.negative_perm != np.arange(4))
 
     # per-example reference: mean over each example's own rows, then one
-    # hinge per row
+    # hinge per row, with cosine_distance's default eps of 1e-8
     def cos_d(a, b):
-        return 1.0 - a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + cfg.eps_norm)
+        return 1.0 - a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-8)
 
     pooled = [text.data[i, :n].mean(axis=0) for i, n in enumerate(lengths)]
     phi_p = out.aggregated.data

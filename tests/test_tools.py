@@ -53,9 +53,12 @@ def test_train_digest_runs_and_repeats():
 
 def test_train_digest_checkpoint_line_repeats():
     tool = import_tool("train_digest")
-    line = tool.checkpoint_digest(2)
-    assert line.startswith("train-default checkpoint after 2 steps sha256 ")
-    assert tool.checkpoint_digest(2) == line
+    lines = tool.checkpoint_digest(2)
+    whole, tail = lines.split("\n")
+    assert whole.startswith("train-default checkpoint after 2 steps sha256 ")
+    assert tail.startswith("train-default checkpoint after 2 steps from the "
+                           "step field sha256 ")
+    assert tool.checkpoint_digest(2) == lines
 
 
 def test_train_digest_float64_mode_reads_zero_against_its_own_checkout(capsys):

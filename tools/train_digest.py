@@ -10,9 +10,11 @@ records, and of the logits at those records' supervised positions (after
 say little). The next line digests the `decode` workload: the untrained
 default model's greedy tokens of 64 records of the workload's seed-1 data,
 with the last-position logits of every decoder call they took. The last
-line is the sha256 of a checkpoint saved after 6 `train-default` steps. Run
-it from the root of two checkouts, say a parent and a change, and compare
-the lines:
+two lines are the sha256 of a checkpoint saved after 6 `train-default` steps
+and of its bytes from the step field to the end, which leave out the header's
+config text and fingerprint: a change to the config namespace moves only the
+first, a change to a tensor both. Run it from the root of two checkouts, say
+a parent and a change, and compare the lines:
 
     PYTHONPATH=src python3 tools/train_digest.py
 
@@ -118,13 +120,18 @@ def decode_digest() -> str:
 
 def checkpoint_digest(steps: int = CHECKPOINT_STEPS) -> str:
     cfg, _, model, opt, _ = trained("train-default", steps)
+    text = dump_config(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train-default.ckpt")
-        save_checkpoint(path, model.store, opt, steps, dump_config(cfg))
+        save_checkpoint(path, model.store, opt, steps, text)
         with open(path, "rb") as f:
             body = f.read()
+    # magic, version, fingerprint and config length come before the text
+    step_at = 4 + 4 + 64 + 4 + len(text.encode())
     return (f"train-default checkpoint after {steps} steps sha256 "
-            f"{hashlib.sha256(body).hexdigest()[:16]}")
+            f"{hashlib.sha256(body).hexdigest()[:16]}\n"
+            f"train-default checkpoint after {steps} steps from the step field "
+            f"sha256 {hashlib.sha256(body[step_at:]).hexdigest()[:16]}")
 
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
