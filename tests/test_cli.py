@@ -218,18 +218,19 @@ def test_checkpoint_config_error_names_the_checkpoint(workdir, capsys, command):
     assert "unknown key 'eps_norm'" in err
 
 
-def test_empty_dataset_is_usage_error_before_step_0(workdir, capsys):
+@pytest.mark.parametrize("command", ["train", "eval", "inspect-routing"])
+def test_empty_dataset_is_usage_error_before_step_0(workdir, capsys, command):
     root, cfg, data = workdir
     save_dataset(data, [], load_config(cfg))
-    ckpt = untrained_checkpoint(root, cfg)
-    for argv in (["train", "--config", str(cfg), "--out-dir", str(root / "x")],
-                 ["eval", "--ckpt", str(ckpt)],
-                 ["inspect-routing", "--ckpt", str(ckpt)]):
-        rc = main(argv + ["--data", str(data)])
-        captured = capsys.readouterr()
-        assert rc == 2, argv[0]
-        assert captured.err == f"error: {data}: no records\n"
-        assert "step=" not in captured.out and "expert" not in captured.out
+    if command == "train":
+        argv = ["train", "--config", str(cfg), "--out-dir", str(root / "x")]
+    else:
+        argv = [command, "--ckpt", str(untrained_checkpoint(root, cfg))]
+    rc = main(argv + ["--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {data}: no records\n"
+    assert "step=" not in captured.out and "expert" not in captured.out
     assert not (root / "x").exists()
 
 

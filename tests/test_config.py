@@ -1,12 +1,15 @@
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import tinyalm
+from tinyalm import optim, saclm
+from tinyalm.autodiff import cosine_distance
 from tinyalm.config import (ABLATIONS, Config, ConfigError, dump_config,
-                            fingerprint, parse_config)
+                            fingerprint, load_config, parse_config)
 
 
 def test_defaults_match_reference_training_recipe():
@@ -133,6 +136,50 @@ def test_validate_rejects_nonfinite_floats(name, value):
         Config(**{name: value}).validate()
     with pytest.raises(ConfigError, match=f"^{name} must be finite"):
         parse_config(f"{name} = {value}\n")
+
+
+# Settings no run varied, now constants: each retired key's constant and the
+# value the key defaulted to
+RETIRED = {
+    "adam_beta1": (optim.BETA1, 0.9),
+    "adam_beta2": (optim.BETA2, 0.999),
+    "adam_eps": (optim.EPS, 1e-8),
+    "eps_norm": (inspect.signature(cosine_distance).parameters["eps"].default, 1e-8),
+    "eps_agg": (saclm.EPS_AGG, 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", list(RETIRED))
+def test_retired_setting_keeps_its_default_and_range(name):
+    value, default = RETIRED[name]
+    assert value == default
+    if name.startswith("adam_beta"):
+        # AdamW's bias corrections divide by 1 - beta**t, which is 0 at beta = 1
+        assert 0.0 <= value < 1.0
+    else:
+        assert 0.0 < value < float("inf")
+
+
+@pytest.mark.parametrize("name", list(RETIRED))
+def test_retired_key_is_unknown(name):
+    # a config file or an older checkpoint's config text naming it fails,
+    # whatever the value
+    assert name not in {f.name for f in dataclasses.fields(Config)}
+    for value in ("1e-08", "inf"):
+        with pytest.raises(ConfigError, match=f"^line 2: unknown key '{name}'$"):
+            parse_config(f"lr = 0.001\n{name} = {value}\n")
+
+
+def test_load_config_error_names_the_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("lr = 0.001\neps_norm = 1e-08\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: line 2: unknown key 'eps_norm'"
+    path.write_bytes(b"lr = \xff\n")
+    with pytest.raises(ConfigError, match="^" + str(path).replace("\\", "\\\\")
+                       + ": not UTF-8 text"):
+        load_config(path)
 
 
 def test_validate_rejects_token_ids_beyond_u8():
