@@ -82,7 +82,7 @@ def test_validate_rejects_out_of_range():
         Config(dtype="f16").validate()
 
 
-@pytest.mark.parametrize("over, match", [
+RANGE_GAPS = [
     (dict(lm_heads=0), "lm_heads"),
     (dict(frames_per_token=0), "frames_per_token"),
     (dict(samples_per_frame=0), "samples_per_frame"),
@@ -115,7 +115,12 @@ def test_validate_rejects_out_of_range():
     (dict(motif_seed=-1), "motif_seed"),
     (dict(total_steps=0), "total_steps"),
     (dict(total_steps=-3), "total_steps"),
-])
+]
+
+
+# ids name each case's overrides, so removing one case renames no other
+@pytest.mark.parametrize("over, match", RANGE_GAPS, ids=[
+    ",".join(f"{k}={v}" for k, v in over.items()) for over, _ in RANGE_GAPS])
 def test_validate_rejects_range_gaps(over, match):
     with pytest.raises(ConfigError, match=match):
         Config(**over).validate()
