@@ -2,11 +2,13 @@
 (text plus its sha256 fingerprint), the global step, every named tensor as
 row-major float32, and AdamW moments for the trainable set. Save -> load ->
 save is byte-identical; loading refuses a foreign config fingerprint when
-it is given the current config text."""
+it is given the current config text. A save writes a sibling temporary file
+and renames it onto the path, so a failed save leaves the old file whole."""
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -62,21 +64,28 @@ def save_checkpoint(path, store, opt, step: int, config_text: str):
                                   f"{name} is {t.data.dtype}")
     fp = fingerprint(config_text).encode()
     cfg_b = config_text.encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(fp)
-        f.write(struct.pack("<I", len(cfg_b)))
-        f.write(cfg_b)
-        f.write(struct.pack("<Q", step))
-        f.write(struct.pack("<I", len(items)))
-        for name, t in items:
-            _write_tensor(f, name, t.data)
-        trainable = list(store.trainable_items())
-        f.write(struct.pack("<I", len(trainable)))
-        for name, _ in trainable:
-            _write_tensor(f, name + ".m", opt.m[name])
-            _write_tensor(f, name + ".v", opt.v[name])
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            f.write(fp)
+            f.write(struct.pack("<I", len(cfg_b)))
+            f.write(cfg_b)
+            f.write(struct.pack("<Q", step))
+            f.write(struct.pack("<I", len(items)))
+            for name, t in items:
+                _write_tensor(f, name, t.data)
+            trainable = list(store.trainable_items())
+            f.write(struct.pack("<I", len(trainable)))
+            for name, _ in trainable:
+                _write_tensor(f, name + ".m", opt.m[name])
+                _write_tensor(f, name + ".v", opt.v[name])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def peek_checkpoint(path) -> dict:

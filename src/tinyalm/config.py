@@ -24,6 +24,14 @@ TASKS = {0: ("copy", (0, 1)), 1: ("reverse", (2, 3))}
 # one encoder's channel block
 ABLATIONS = ("none", "tapm", "saclm", "enc1", "enc2", "enc3")
 
+# (window, stride) in samples of each mock encoder: like the frozen pretrained
+# encoders they stand in for, their framing is fixed
+ENCODER_GEOMETRY = ((16, 16), (32, 32), (64, 64))
+
+# synthetic signal: samples per base frame, the share of noise base frames,
+# and the seed of the motif table shared by datasets of any seed
+SAMPLES_PER_FRAME, NOISE_RATIO, MOTIF_SEED = 16, 0.3, 7
+
 
 @dataclass
 class Config:
@@ -46,24 +54,15 @@ class Config:
     dtype: str = "float32"
     model_seed: int = 0
 
-    # mock encoder bank (window/stride/output channels per encoder)
-    enc1_window: int = 16
-    enc1_stride: int = 16
+    # output channels of each mock encoder
     enc1_dim: int = 8
-    enc2_window: int = 32
-    enc2_stride: int = 32
     enc2_dim: int = 8
-    enc3_window: int = 64
-    enc3_stride: int = 64
     enc3_dim: int = 8
 
     # synthetic task spec
     frames_per_token: int = 4
-    noise_ratio: float = 0.3
     min_tokens: int = 3
     max_tokens: int = 8
-    samples_per_frame: int = 16
-    motif_seed: int = 7  # shared motif table across datasets of any seed
 
     # training
     lr: float = 5e-5
@@ -97,8 +96,7 @@ class Config:
 
     def noise_frames(self, n_signal: int) -> int:
         """Noise base frames interleaved with n_signal signal frames."""
-        rho = self.noise_ratio
-        return int(round(n_signal * rho / (1.0 - rho))) if rho > 0 else 0
+        return int(round(n_signal * NOISE_RATIO / (1.0 - NOISE_RATIO)))
 
     def record_frames(self, n_tokens: int) -> int:
         """Base frames of a record of n_tokens tokens: signal plus noise."""
@@ -108,14 +106,13 @@ class Config:
     @property
     def encoder_specs(self) -> tuple:
         """(window, stride, dim) of each mock encoder."""
-        return ((self.enc1_window, self.enc1_stride, self.enc1_dim),
-                (self.enc2_window, self.enc2_stride, self.enc2_dim),
-                (self.enc3_window, self.enc3_stride, self.enc3_dim))
+        dims = (self.enc1_dim, self.enc2_dim, self.enc3_dim)
+        return tuple((*geometry, dim) for geometry, dim in zip(ENCODER_GEOMETRY, dims))
 
     def audio_len_bound(self) -> int:
         """Largest audio-prefix length the data spec can produce: the query
         positions over the longest encoder output of the longest record."""
-        samples = self.record_frames(self.max_tokens) * self.samples_per_frame
+        samples = self.record_frames(self.max_tokens) * SAMPLES_PER_FRAME
         frames = max((samples - window) // stride + 1
                      for window, stride, _ in self.encoder_specs)
         return -(-frames // self.window_frames) * self.n_queries
@@ -129,15 +126,13 @@ class Config:
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("lm_heads", "n_queries", "window_frames", "frames_per_token",
-                     "samples_per_frame", "batch_size", "min_tokens", "enc1_window",
-                     "enc1_stride", "enc2_window", "enc2_stride", "enc3_window",
-                     "enc3_stride", "n_experts", "expert_hidden", "score_hidden",
-                     "agg_hidden", "vocab_symbols", "d_text", "lora_rank",
-                     "total_steps"):
+                     "batch_size", "min_tokens", "n_experts", "expert_hidden",
+                     "score_hidden", "agg_hidden", "vocab_symbols", "d_text",
+                     "lora_rank", "total_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lm_layers", "enc1_dim", "enc2_dim", "enc3_dim", "seed",
-                     "model_seed", "motif_seed"):
+                     "model_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.ablate not in ABLATIONS:
@@ -164,19 +159,16 @@ class Config:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.max_tokens < self.min_tokens:
             raise ConfigError("token length range is empty")
-        if not (0.0 <= self.noise_ratio < 1.0):
-            raise ConfigError(f"noise_ratio must lie in [0,1), got {self.noise_ratio}")
-        # limits of the u8/u16/u32 fields of the binary dataset format
-        frames = self.record_frames(self.max_tokens)
+        # limits of the u8/u16 fields of the binary dataset format; its u32
+        # sample count holds 65535 frames of SAMPLES_PER_FRAME samples
         for what, value, limit in (
                 ("token id vocab_symbols + 2 =", self.vocab_total - 1, 255),
                 ("targets per record max_tokens + 1 =", self.max_tokens + 1, 255),
-                ("frames per record", frames, 65535),
-                ("samples per record", frames * self.samples_per_frame, 2 ** 32 - 1)):
+                ("frames per record", self.record_frames(self.max_tokens), 65535)):
             if value > limit:
                 raise ConfigError(f"{what} {value} exceeds the dataset format's "
                                   f"limit of {limit}")
-        shortest = self.record_frames(self.min_tokens) * self.samples_per_frame
+        shortest = self.record_frames(self.min_tokens) * SAMPLES_PER_FRAME
         widest = max(window for window, _, _ in self.encoder_specs)
         if shortest < widest:
             raise ConfigError(f"the shortest record has {shortest} samples, fewer "

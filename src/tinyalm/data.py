@@ -1,7 +1,7 @@
 """Synthetic copy/reverse audio tasks.
 
 Each content token owns a fixed random waveform motif (frames_per_token
-base frames of samples_per_frame samples). A record concatenates its token
+base frames of SAMPLES_PER_FRAME samples). A record concatenates its token
 motifs and interleaves pure-noise base frames at recorded positions, so the
 frame scorer can later be judged against ground truth. Records are a pure
 function of (spec fields, seed, index).
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TASKS, Config, ConfigError
+from .config import (MOTIF_SEED, NOISE_RATIO, SAMPLES_PER_FRAME, TASKS, Config,
+                     ConfigError)
 from .params import seeded_rng
 
 MAGIC = b"TALM"
@@ -39,13 +40,13 @@ class Record:
     tokens: np.ndarray         # [n] content token ids
     targets: np.ndarray        # [n+1] target ids, EOS-terminated
     noise_positions: np.ndarray  # base-frame indices that are noise
-    samples: np.ndarray        # [n_frames * samples_per_frame] float32
+    samples: np.ndarray        # [n_frames * SAMPLES_PER_FRAME] float32
 
 
 def motif_table(cfg: Config) -> np.ndarray:
-    """[vocab, frames_per_token * samples_per_frame] fixed random motifs."""
-    rng = seeded_rng(cfg.motif_seed)
-    width = cfg.frames_per_token * cfg.samples_per_frame
+    """[vocab, frames_per_token * SAMPLES_PER_FRAME] fixed random motifs."""
+    rng = seeded_rng(MOTIF_SEED)
+    width = cfg.frames_per_token * SAMPLES_PER_FRAME
     return rng.standard_normal((cfg.vocab_symbols, width)).astype(np.float32)
 
 
@@ -63,20 +64,18 @@ def gen_record(cfg: Config, seed: int, index: int,
     n_tok = int(rng.integers(cfg.min_tokens, cfg.max_tokens + 1))
     tokens = rng.integers(0, cfg.vocab_symbols, size=n_tok)
 
-    spf = cfg.samples_per_frame
+    spf = SAMPLES_PER_FRAME
     n_signal = n_tok * cfg.frames_per_token
     n_noise = cfg.noise_frames(n_signal)
     total = n_signal + n_noise
-    noise_at = np.sort(rng.choice(total, size=n_noise, replace=False)) \
-        if n_noise else np.empty(0, dtype=np.int64)
+    noise_at = np.sort(rng.choice(total, size=n_noise, replace=False))
 
     signal = np.concatenate([motifs[t] for t in tokens]).reshape(n_signal, spf)
     frames = np.zeros((total, spf), dtype=np.float32)
     is_noise = np.zeros(total, dtype=bool)
     is_noise[noise_at] = True
     frames[~is_noise] = signal
-    if n_noise:
-        frames[is_noise] = rng.standard_normal((n_noise, spf)).astype(np.float32)
+    frames[is_noise] = rng.standard_normal((n_noise, spf)).astype(np.float32)
 
     return Record(index=index, task_id=task_id,
                   prompt_ids=np.asarray(TASKS[task_id][1], dtype=np.int64),
@@ -95,11 +94,10 @@ def gen_dataset(cfg: Config, seed: int, n: int) -> list:
     return [gen_record(cfg, seed, i, motifs) for i in range(n)]
 
 
-def window_labels(record: Record, window_frames: int,
-                  samples_per_frame: int) -> list:
+def window_labels(record: Record, window_frames: int) -> list:
     """Label each qformer window 'noise', 'signal', or 'mixed' from the
     recorded noise-frame positions. Ragged last windows use real frames only."""
-    n_frames = record.samples.size // samples_per_frame
+    n_frames = record.samples.size // SAMPLES_PER_FRAME
     is_noise = np.zeros(n_frames, dtype=bool)
     is_noise[record.noise_positions] = True
     labels = []
@@ -131,8 +129,8 @@ def spec_line(cfg: Config) -> str:
     """Generation-relevant fields only; embedded in the file header so a
     mismatched config is caught before training on foreign data."""
     return (f"vocab={cfg.vocab_symbols} frames_per_token={cfg.frames_per_token} "
-            f"samples_per_frame={cfg.samples_per_frame} noise_ratio={cfg.noise_ratio!r} "
-            f"tokens={cfg.min_tokens}..{cfg.max_tokens} motif_seed={cfg.motif_seed}")
+            f"samples_per_frame={SAMPLES_PER_FRAME} noise_ratio={NOISE_RATIO!r} "
+            f"tokens={cfg.min_tokens}..{cfg.max_tokens} motif_seed={MOTIF_SEED}")
 
 
 def save_dataset(path, records: list, cfg: Config):
@@ -249,11 +247,11 @@ def _unproducible(r: Record, cfg: Config, motifs: np.ndarray) -> str:
         return "targets are not the task's output for the tokens"
     if (noise.size != frames - n_tok * cfg.frames_per_token
             or np.any(np.diff(noise) <= 0) or np.any(noise >= frames)
-            or r.samples.size != frames * cfg.samples_per_frame):
+            or r.samples.size != frames * SAMPLES_PER_FRAME):
         return f"noise positions or sample count do not fit {frames} frames"
-    by_frame = r.samples.reshape(frames, cfg.samples_per_frame)
+    by_frame = r.samples.reshape(frames, SAMPLES_PER_FRAME)
     is_noise = np.isin(np.arange(frames), noise)
-    signal = motifs[r.tokens].reshape(-1, cfg.samples_per_frame)
+    signal = motifs[r.tokens].reshape(-1, SAMPLES_PER_FRAME)
     if not np.array_equal(by_frame[~is_noise], signal):
         return "signal frames are not the tokens' motifs"
     if not np.all(np.abs(by_frame[is_noise]) < NOISE_BOUND):

@@ -77,16 +77,11 @@ def run_training(model: Model, opt: AdamW, records: list,
 
 
 def _score_window_stats(model: Model, record, s_row: np.ndarray, acc: dict):
-    """Accumulate mean-score buckets using generator noise positions.
-
-    Score positions map to base-frame windows only when the first encoder
-    frames exactly one base frame per step; otherwise the buckets stay empty.
-    """
+    """Accumulate mean-score buckets using generator noise positions. Score
+    positions map to base-frame windows because the first encoder frames
+    exactly one base frame per step."""
     cfg = model.cfg
-    if (cfg.enc1_window != cfg.samples_per_frame
-            or cfg.enc1_stride != cfg.samples_per_frame):
-        return
-    labels = window_labels(record, cfg.window_frames, cfg.samples_per_frame)
+    labels = window_labels(record, cfg.window_frames)
     for w, lab in enumerate(labels):
         if lab == "mixed":
             continue

@@ -43,6 +43,26 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p2.read_bytes() == first
 
 
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    cfg, model, opt, recs, path = make(tmp_path, steps=2)
+    save_checkpoint(path, model.store, opt, 2, dump_config(cfg))
+    good = path.read_bytes()
+    calls = []
+
+    def failing_write(f, name, arr):
+        calls.append(name)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        _write_tensor(f, name, arr)
+
+    monkeypatch.setattr("tinyalm.checkpoint._write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model.store, opt, 3, dump_config(cfg))
+    assert len(calls) == 3
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_load_keeps_the_optimizer_views(tmp_path):
     cfg, model, opt, recs, path = make(tmp_path, steps=2)
     save_checkpoint(path, model.store, opt, 2, dump_config(cfg))

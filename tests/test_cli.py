@@ -298,7 +298,7 @@ def test_float64_train_is_usage_error_before_step_0(workdir, capsys):
 def test_spec_mismatch_is_usage_error(workdir, capsys):
     root, cfg, data = workdir
     other = root / "other.txt"
-    other.write_text(SMALL + "noise_ratio = 0.5\n")
+    other.write_text(SMALL + "min_tokens = 4\n")
     rc = main(["train", "--config", str(other), "--data", str(data),
                "--out-dir", str(root / "x")])
     assert rc == 2
@@ -341,7 +341,8 @@ def test_gen_data_zero_records_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec, seed, message", [
     (SMALL, "-1", "seed must be >= 0"),
-    (SMALL + "motif_seed = -1\n", "0", "motif_seed must be >= 0"),
+    # the motif seed is a constant; a spec naming it fails as an unknown key
+    (SMALL + "motif_seed = -1\n", "0", "unknown key 'motif_seed'"),
 ], ids=["seed", "motif_seed"])
 def test_gen_data_negative_seed_is_usage_error(tmp_path, capsys, spec, seed,
                                                message):

@@ -8,7 +8,8 @@ import pytest
 import tinyalm
 from tinyalm import optim, saclm
 from tinyalm.autodiff import cosine_distance
-from tinyalm.config import (ABLATIONS, Config, ConfigError, dump_config,
+from tinyalm.config import (ABLATIONS, ENCODER_GEOMETRY, MOTIF_SEED, NOISE_RATIO,
+                            SAMPLES_PER_FRAME, Config, ConfigError, dump_config,
                             fingerprint, load_config, parse_config)
 
 
@@ -26,7 +27,7 @@ def test_defaults_match_reference_training_recipe():
 
 
 def test_dump_parse_roundtrip_every_field():
-    cfg = Config(d_model=48, lr=3e-3, ablate="tapm", noise_ratio=0.45,
+    cfg = Config(d_model=48, lr=3e-3, ablate="tapm", alpha_mix=0.45,
                  dtype="float64", lm_heads=4)
     back = parse_config(dump_config(cfg))
     assert back == cfg
@@ -76,8 +77,6 @@ def test_validate_rejects_out_of_range():
         Config(lora_rank=64).validate()
     with pytest.raises(ConfigError, match="divisible"):
         Config(d_model=66).validate()
-    with pytest.raises(ConfigError, match="noise_ratio"):
-        Config(noise_ratio=1.0).validate()
     with pytest.raises(ConfigError, match="dtype"):
         Config(dtype="f16").validate()
 
@@ -85,7 +84,6 @@ def test_validate_rejects_out_of_range():
 RANGE_GAPS = [
     (dict(lm_heads=0), "lm_heads"),
     (dict(frames_per_token=0), "frames_per_token"),
-    (dict(samples_per_frame=0), "samples_per_frame"),
     (dict(batch_size=0), "batch_size"),
     (dict(prompt_vocab=2), "prompt_vocab"),
     # 1 token of 1 frame is 16 samples, narrower than the 64-sample window
@@ -112,7 +110,6 @@ RANGE_GAPS = [
     (dict(lora_rank=-1), "lora_rank"),
     (dict(seed=-1), "^seed must be >= 0"),
     (dict(model_seed=-1), "model_seed"),
-    (dict(motif_seed=-1), "motif_seed"),
     (dict(total_steps=0), "total_steps"),
     (dict(total_steps=-3), "total_steps"),
 ]
@@ -151,6 +148,11 @@ RETIRED = {
     "adam_eps": (optim.EPS, 1e-8),
     "eps_norm": (inspect.signature(cosine_distance).parameters["eps"].default, 1e-8),
     "eps_agg": (saclm.EPS_AGG, 1e-8),
+    **{f"enc{i}_{key}": (ENCODER_GEOMETRY[i - 1][k], 16 * 2 ** (i - 1))
+       for i in (1, 2, 3) for k, key in enumerate(("window", "stride"))},
+    "samples_per_frame": (SAMPLES_PER_FRAME, 16),
+    "noise_ratio": (NOISE_RATIO, 0.3),
+    "motif_seed": (MOTIF_SEED, 7),
 }
 
 
@@ -158,9 +160,14 @@ RETIRED = {
 def test_retired_setting_keeps_its_default_and_range(name):
     value, default = RETIRED[name]
     assert value == default
-    if name.startswith("adam_beta"):
-        # AdamW's bias corrections divide by 1 - beta**t, which is 0 at beta = 1
+    if name.startswith("adam_beta") or name == "noise_ratio":
+        # AdamW's bias corrections divide by 1 - beta**t, which is 0 at beta = 1,
+        # and a record's noise frames by 1 - noise_ratio
         assert 0.0 <= value < 1.0
+    elif name.startswith(("enc", "samples_per_frame")):
+        assert isinstance(value, int) and value >= 1
+    elif name == "motif_seed":
+        assert isinstance(value, int) and value >= 0
     else:
         assert 0.0 < value < float("inf")
 
@@ -204,12 +211,11 @@ def test_validate_rejects_target_count_beyond_u8():
 
 def test_validate_rejects_frames_beyond_u16():
     # noise positions are u16 frame indices behind a u16 count
-    Config(max_tokens=200, frames_per_token=300, noise_ratio=0.0,
-           max_seq=7703).validate()
+    # 200 * 229 = 45,800 signal frames and 19,629 noise frames: 65,429
+    Config(max_tokens=200, frames_per_token=229, max_seq=8382).validate()
+    # 200 * 230 = 46,000 signal frames and 19,714 noise frames: 65,714
     with pytest.raises(ConfigError, match="65535"):
-        Config(max_tokens=200, frames_per_token=300).validate()
-    with pytest.raises(ConfigError, match="samples per record"):
-        Config(samples_per_frame=100_000_000).validate()
+        Config(max_tokens=200, frames_per_token=230).validate()
 
 
 def test_fingerprint_tracks_content():

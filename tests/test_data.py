@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tinyalm.config import Config
+from tinyalm.config import SAMPLES_PER_FRAME, Config
 from tinyalm.data import (DataFormatError, Record, file_digest, gen_dataset,
                           gen_record, load_dataset, make_targets, motif_table,
-                          save_dataset, window_labels, write_jsonl)
+                          save_dataset, spec_line, window_labels, write_jsonl)
 
 GOLDEN_DIGEST_N128_SEED0 = \
     "b63697e905d461dc0763a08b996418adf903565b80eca24e4a335e0c9d63df7b"
@@ -43,20 +43,12 @@ def test_signal_frames_reproduce_motifs():
     cfg = Config()
     motifs = motif_table(cfg)
     r = gen_record(cfg, 0, 2, motifs)
-    spf = cfg.samples_per_frame
-    frames = r.samples.reshape(-1, spf)
+    frames = r.samples.reshape(-1, SAMPLES_PER_FRAME)
     is_noise = np.zeros(len(frames), dtype=bool)
     is_noise[r.noise_positions] = True
     signal = frames[~is_noise].reshape(-1)
     want = np.concatenate([motifs[t] for t in r.tokens])
     np.testing.assert_array_equal(signal, want)
-
-
-def test_noise_ratio_zero_records_nothing():
-    cfg = Config(noise_ratio=0.0)
-    r = gen_record(cfg, 0, 5)
-    assert r.noise_positions.size == 0
-    assert r.samples.size == len(r.tokens) * 4 * 16
 
 
 def test_noise_ratio_approximation():
@@ -76,6 +68,13 @@ def test_motif_table_shared_across_dataset_seeds():
     assert not np.array_equal(a.samples, b.samples)
 
 
+def test_spec_line_of_the_default_config():
+    # the dataset header still names the fixed frame size, noise ratio and
+    # motif seed, so datasets written while they were config keys still load
+    assert spec_line(Config()) == ("vocab=32 frames_per_token=4 samples_per_frame=16 "
+                                   "noise_ratio=0.3 tokens=3..8 motif_seed=7")
+
+
 def test_roundtrip_and_golden_digest(tmp_path):
     cfg = Config()
     recs = gen_dataset(cfg, 0, 128)
@@ -88,7 +87,7 @@ def test_roundtrip_and_golden_digest(tmp_path):
     back = load_dataset(p1, cfg)
     assert len(back) == 128
     with pytest.raises(DataFormatError, match="does not match"):
-        load_dataset(p1, Config(noise_ratio=0.5))
+        load_dataset(p1, Config(min_tokens=4))
     for r, b in zip(recs, back):
         np.testing.assert_array_equal(r.samples, b.samples)
         np.testing.assert_array_equal(r.tokens, b.tokens)
@@ -162,11 +161,11 @@ def test_record_the_spec_cannot_produce_rejected(tmp_path, field):
         samples = body + 2 + len(r.prompt_ids) + 1 + len(r.tokens) + 1 \
             + len(r.targets) + 2 + 2 * len(r.noise_positions) + 4
         noise = set(r.noise_positions.tolist())
-        frames = set(range(r.samples.size // cfg.samples_per_frame))
+        frames = set(range(r.samples.size // SAMPLES_PER_FRAME))
         frame = min(noise) if field == "noise" else min(frames - noise)
-        at = samples + 4 * frame * cfg.samples_per_frame
+        at = samples + 4 * frame * SAMPLES_PER_FRAME
         value = np.float32(2.4e36) if field == "noise" else \
-            np.nextafter(r.samples[frame * cfg.samples_per_frame], np.float32(np.inf))
+            np.nextafter(r.samples[frame * SAMPLES_PER_FRAME], np.float32(np.inf))
         raw[at:at + 4] = np.float32(value).tobytes()
     p.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="record 0"):
@@ -191,7 +190,7 @@ def test_window_labels():
                tokens=np.array([1]), targets=np.array([1, 33]),
                noise_positions=np.array([2, 3, 4, 5]),
                samples=np.zeros(8 * 16, dtype=np.float32))
-    assert window_labels(r, 2, 16) == ["signal", "noise", "noise", "signal"]
-    assert window_labels(r, 4, 16) == ["mixed", "mixed"]
-    assert window_labels(r, 1, 16) == ["signal", "signal", "noise", "noise",
-                                       "noise", "noise", "signal", "signal"]
+    assert window_labels(r, 2) == ["signal", "noise", "noise", "signal"]
+    assert window_labels(r, 4) == ["mixed", "mixed"]
+    assert window_labels(r, 1) == ["signal", "signal", "noise", "noise",
+                                   "noise", "noise", "signal", "signal"]

@@ -17,17 +17,15 @@ from hypothesis import strategies as st
 
 from tinyalm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from tinyalm.cli import main
-from tinyalm.config import Config, dump_config
+from tinyalm.config import SAMPLES_PER_FRAME, Config, dump_config
 from tinyalm.data import DataFormatError, gen_dataset, load_dataset, save_dataset
 from tinyalm.model import Model
 from tinyalm.optim import AdamW
 
 CFG = Config(d_model=8, d_text=4, n_experts=2, expert_hidden=4, score_hidden=4,
              agg_hidden=4, lora_rank=2, lm_layers=1, lm_heads=2, vocab_symbols=4,
-             enc1_window=4, enc1_stride=4, enc1_dim=2, enc2_window=8,
-             enc2_stride=8, enc2_dim=2, enc3_window=8, enc3_stride=8, enc3_dim=2,
-             window_frames=2, frames_per_token=2, samples_per_frame=4,
-             min_tokens=1, max_tokens=2, batch_size=2)
+             enc1_dim=2, enc2_dim=2, enc3_dim=2, window_frames=2,
+             frames_per_token=4, min_tokens=1, max_tokens=2, batch_size=2)
 FILE_CFG = dataclasses.replace(CFG, model_seed=1)   # a different init
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -45,7 +43,7 @@ def producible(r, cfg):
             == (tokens[::-1] if r.task_id else tokens) + [cfg.eos_id]
             and noise == sorted(set(noise)) and all(p < n_frames for p in noise)
             and len(noise) == n_frames - n_signal
-            and r.samples.size == n_frames * cfg.samples_per_frame
+            and r.samples.size == n_frames * SAMPLES_PER_FRAME
             and bool(np.isfinite(r.samples).all()))
 
 
