@@ -172,6 +172,11 @@ def test_retired_setting_keeps_its_default_and_range(name):
         assert 0.0 < value < float("inf")
 
 
+def test_first_encoder_frames_one_base_frame_per_step():
+    # the score statistics map score positions onto base-frame windows
+    assert ENCODER_GEOMETRY[0] == (SAMPLES_PER_FRAME, SAMPLES_PER_FRAME)
+
+
 @pytest.mark.parametrize("name", list(RETIRED))
 def test_retired_key_is_unknown(name):
     # a config file or an older checkpoint's config text naming it fails,
