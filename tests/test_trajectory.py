@@ -1,6 +1,8 @@
-"""Float64 trajectory oracle: two short training runs in float64, their
-trainables projected onto 32 seeded random directions and compared with
-the values in `trajectory_float64.json`, to 1e-12 relative in L2.
+"""Float64 trajectory oracle: two short training runs in float64, each
+trainable tensor projected onto 32 random directions of its own, seeded by
+its name, and compared with the values in `trajectory_float64.json`: the
+same tensors (by name and shape), and the sum of their projections to 1e-12
+relative in L2. A tensor added or removed changes only its own entry.
 
 In float64 a change that only reorders rounding stays near 1e-15 after
 these runs, while a small change of logic (a `layer_norm` eps of 1.01e-5
@@ -13,6 +15,7 @@ logic on purpose rewrites the file and says why:
 
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -31,33 +34,40 @@ RUNS = {"c5": (C5_RECIPE, 30), "c6": (C6_EXPERIMENT, 20)}
 N_DIRECTIONS = 32
 
 
-def projections(name: str) -> np.ndarray:
-    """The run's trainables after its steps, on N_DIRECTIONS directions
-    drawn tensor by tensor in the store's order."""
+def projections(name: str) -> dict:
+    """The run's trainables after its steps, as {"name (shape)": the tensor
+    on N_DIRECTIONS directions drawn from a generator keyed by its name}."""
     over, steps = RUNS[name]
     cfg = Config(**over, dtype="float64")
     model = Model(cfg)
     run_training(model, AdamW(model.store, cfg), gen_dataset(cfg, 0, 32),
                  stop_after=steps)
-    rng = seeded_rng(2100)
-    proj = np.zeros(N_DIRECTIONS)
-    for _, t in model.store.trainable_items():
+    proj = {}
+    for key, t in model.store.trainable_items():
         assert t.data.dtype == np.float64
-        proj += rng.standard_normal((N_DIRECTIONS, t.size)) @ t.data.ravel()
+        rng = seeded_rng(2100, zlib.crc32(key.encode()))
+        proj[f"{key} {t.shape}"] = (rng.standard_normal((N_DIRECTIONS, t.size))
+                                    @ t.data.ravel())
     return proj
+
+
+def total(proj: dict) -> np.ndarray:
+    """The sum of the entries' projections, in key order."""
+    return np.sum([proj[key] for key in sorted(proj)], axis=0)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_float64_trajectory_matches_reference(name):
     with open(REFERENCE) as f:
-        ref = np.array(json.load(f)[name])
+        ref = {key: np.array(p) for key, p in json.load(f)[name].items()}
     got = projections(name)
-    dist = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+    assert sorted(got) == sorted(ref)
+    dist = np.linalg.norm(total(got) - total(ref)) / np.linalg.norm(total(ref))
     assert dist <= 1e-12, f"{name}: relative L2 distance {dist:.3e}"
 
 
 if __name__ == "__main__":
     with open(REFERENCE, "w") as f:
-        json.dump({name: projections(name).tolist() for name in sorted(RUNS)},
-                  f, indent=1)
+        json.dump({name: {key: p.tolist() for key, p in projections(name).items()}
+                   for name in sorted(RUNS)}, f, indent=1)
         f.write("\n")

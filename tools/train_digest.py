@@ -20,8 +20,9 @@ a parent and a change, and compare the lines:
 
 With `--float64 OTHER` it prints instead, for each run of
 tests/test_trajectory.py (`c5` and `c6`, trained in float64), the relative
-L2 distance between this checkout's trainable projections and those of the
-checkout at OTHER. Each side runs in a subprocess with its own `src` and
+L2 distance between the summed projections of the trainable tensors that
+this checkout and the checkout at OTHER both hold (same name and shape),
+with their count. Each side runs in a subprocess with its own `src` and
 `tests` on the path. A change that keeps every bit reads 0, one that only
 reorders rounding 1e-15 or less, and a change of logic 1e-4 and more:
 
@@ -137,24 +138,32 @@ def checkpoint_digest(steps: int = CHECKPOINT_STEPS) -> str:
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PROJECT = ("import json\nfrom test_trajectory import RUNS, projections\n"
-           "print(json.dumps({n: projections(n).tolist() for n in sorted(RUNS)}))")
+           "print(json.dumps({n: {k: p.tolist() for k, p in projections(n).items()}"
+           " for n in sorted(RUNS)}))")
 
 
 def trajectory_projections(root: str) -> dict:
-    """{run: projections} of tests/test_trajectory.py, computed by the
-    checkout at root in a subprocess."""
+    """{run: {"name (shape)": projection}} of tests/test_trajectory.py,
+    computed by the checkout at root in a subprocess."""
     path = os.pathsep.join(os.path.join(root, d) for d in ("src", "tests"))
     out = subprocess.run([sys.executable, "-c", PROJECT], check=True,
                          stdout=subprocess.PIPE, text=True,
                          env=dict(os.environ, PYTHONPATH=path)).stdout
-    return {name: np.array(p) for name, p in json.loads(out).items()}
+    return {name: {key: np.array(p) for key, p in run.items()}
+            for name, run in json.loads(out).items()}
 
 
 def float64_distances(other: str) -> list:
     here, there = trajectory_projections(ROOT), trajectory_projections(other)
-    return [f"{name} float64 trajectory relative L2 distance to {other} "
-            f"{np.linalg.norm(here[name] - there[name]) / np.linalg.norm(there[name]):.3e}"
-            for name in sorted(here)]
+    lines = []
+    for name in sorted(here):
+        common = sorted(here[name].keys() & there[name].keys())
+        a, b = (np.sum([side[name][key] for key in common], axis=0)
+                for side in (here, there))
+        lines.append(f"{name} float64 trajectory relative L2 distance over "
+                     f"{len(common)} common tensors to {other} "
+                     f"{np.linalg.norm(a - b) / np.linalg.norm(b):.3e}")
+    return lines
 
 
 def main(argv=None) -> int:
