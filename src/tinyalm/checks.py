@@ -144,7 +144,7 @@ def model_check_config() -> Config:
         dtype="float64", d_model=16, d_text=8, lm_layers=1, lm_heads=2,
         lora_rank=2, expert_hidden=8, score_hidden=8, agg_hidden=8,
         enc1_dim=2, enc2_dim=2, enc3_dim=2, window_frames=2,
-        frames_per_token=2, min_tokens=3, max_tokens=3, prompt_vocab=4,
+        frames_per_token=2, min_tokens=3, max_tokens=3,
         vocab_symbols=8, batch_size=2, seed=0, model_seed=0)
 
 

@@ -19,6 +19,7 @@ class ConfigError(ValueError):
 
 # task id -> (name, prompt token ids in the separate prompt vocabulary)
 TASKS = {0: ("copy", (0, 1)), 1: ("reverse", (2, 3))}
+PROMPT_VOCAB = 1 + max(max(ids) for _, ids in TASKS.values())  # prompt embedding rows
 
 # values of `ablate`: no ablation, bypass TAPM, drop the SACLM loss, or zero
 # one encoder's channel block
@@ -49,7 +50,6 @@ class Config:
     lm_heads: int = 4
     vocab_symbols: int = 32
     max_seq: int = 128
-    prompt_vocab: int = 8
     threshold: float = 0.5
     dtype: str = "float32"
     model_seed: int = 0
@@ -138,10 +138,6 @@ class Config:
         if self.ablate not in ABLATIONS:
             raise ConfigError(f"ablate must be one of {', '.join(ABLATIONS)}, "
                               f"got {self.ablate!r}")
-        prompt_ids = 1 + max(max(ids) for _, ids in TASKS.values())
-        if self.prompt_vocab < prompt_ids:
-            raise ConfigError(f"prompt_vocab {self.prompt_vocab} cannot hold the "
-                              f"task prompt ids 0..{prompt_ids - 1}")
         if not (0.0 < self.warmup_ratio < 1.0):
             raise ConfigError(f"warmup_ratio must lie in (0,1), got {self.warmup_ratio}")
         if not (0.0 <= self.alpha_mix <= 1.0):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, concat, embedding_lookup, linear, mul
-from .config import Config
+from .config import PROMPT_VOCAB, Config
 from .data import Record
 from .encoders import EncoderBank, FusedFeatures
 from .lm import DecodeCache, SequenceBatch, ToyDecoder, build_sequence, ce_loss
@@ -55,7 +55,7 @@ class Model:
                                    rng.standard_normal((d, d)) / np.sqrt(d), dt)
         self.audio_b = store.param("inproj.audio.bias", np.zeros(d), dt)
         self.lm_prompt_embed = store.param(
-            "inproj.prompt_embed", rng.standard_normal((cfg.prompt_vocab, d)) * 0.02, dt)
+            "inproj.prompt_embed", rng.standard_normal((PROMPT_VOCAB, d)) * 0.02, dt)
 
     def trainable_count(self) -> int:
         return self.store.trainable_count()

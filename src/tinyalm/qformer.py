@@ -35,22 +35,23 @@ class WindowQFormer:
         d, dt = cfg.d_model, cfg.np_dtype
         rng = seeded_rng(cfg.model_seed, 201)
 
-        def w(name, shape):
-            return store.param(f"qformer.{name}", rng.standard_normal(shape) * 0.02, dt)
+        def w(name, shape, read=True):  # drawn even if unread: later draws keep their bits
+            value = rng.standard_normal(shape) * 0.02
+            return store.param(f"qformer.{name}", value, dt) if read else None
 
-        def ln(name):
+        def ln(name, read=True):
             return (store.param(f"qformer.{name}.gain", np.ones(d), dt),
-                    store.param(f"qformer.{name}.bias", np.zeros(d), dt))
+                    store.param(f"qformer.{name}.bias", np.zeros(d), dt)) if read else None
 
         self.query = w("query", (cfg.n_queries, d))
         self.self_ln = ln("self_ln")
-        self.self_wq = w("self.wq", (d, d))
-        self.self_wk = w("self.wk", (d, d))
+        self.self_wq = w("self.wq", (d, d), cfg.n_queries > 1)
+        self.self_wk = w("self.wk", (d, d), cfg.n_queries > 1)
         self.self_wv = w("self.wv", (d, d))
         self.self_wo = w("self.wo", (d, d))
-        self.cross_ln = ln("cross_ln")
-        self.cross_wq = w("cross.wq", (d, d))
-        self.cross_wk = w("cross.wk", (d, d))
+        self.cross_ln = ln("cross_ln", cfg.window_frames > 1)
+        self.cross_wq = w("cross.wq", (d, d), cfg.window_frames > 1)
+        self.cross_wk = w("cross.wk", (d, d), cfg.window_frames > 1)
         self.cross_wv = w("cross.wv", (d, d))
         self.cross_wo = w("cross.wo", (d, d))
         self.out_ln = ln("out_ln")

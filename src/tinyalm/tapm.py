@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import (Tensor, add, embedding_lookup, linear, matmul, mean, mul,
                        relu, reshape, softmax, sum_, transpose)
-from .config import Config
+from .config import PROMPT_VOCAB, Config
 from .params import ParamStore, seeded_rng
 
 
@@ -31,8 +31,9 @@ class Tapm:
 
         self.task_embed = reg("task_embed",
                               rng.standard_normal((2, cfg.d_text)) * 0.02)
+        # 8 rows, the vocabulary's size before PROMPT_VOCAB: later draws keep their bits
         self.prompt_embed = reg("prompt_embed",
-                                rng.standard_normal((cfg.prompt_vocab, cfg.d_text)) * 0.02)
+                                rng.standard_normal((8, cfg.d_text))[:PROMPT_VOCAB] * 0.02)
         self.router = reg("router",
                           rng.standard_normal((cfg.d_text, cfg.n_experts)) * 0.02)
         # drawn expert by expert, w1 then w2: this order fixes the initial weights

@@ -181,6 +181,7 @@ def test_unknown_config_key_is_usage_error(workdir, capsys):
     ("lora_rank = -1", "lora_rank must be >= 1"),
     ("seed = -1", "seed must be >= 0"),
     ("model_seed = -1", "model_seed must be >= 0"),
+    ("prompt_vocab = 8", "unknown key 'prompt_vocab'"),
 ])
 def test_malformed_config_is_usage_error(workdir, capsys, line, message):
     root, cfg, data = workdir

@@ -9,8 +9,9 @@ import tinyalm
 from tinyalm import optim, saclm
 from tinyalm.autodiff import cosine_distance
 from tinyalm.config import (ABLATIONS, ENCODER_GEOMETRY, MOTIF_SEED, NOISE_RATIO,
-                            SAMPLES_PER_FRAME, Config, ConfigError, dump_config,
-                            fingerprint, load_config, parse_config)
+                            PROMPT_VOCAB, SAMPLES_PER_FRAME, TASKS, Config,
+                            ConfigError, dump_config, fingerprint, load_config,
+                            parse_config)
 
 
 def test_defaults_match_reference_training_recipe():
@@ -85,7 +86,6 @@ RANGE_GAPS = [
     (dict(lm_heads=0), "lm_heads"),
     (dict(frames_per_token=0), "frames_per_token"),
     (dict(batch_size=0), "batch_size"),
-    (dict(prompt_vocab=2), "prompt_vocab"),
     # 1 token of 1 frame is 16 samples, narrower than the 64-sample window
     (dict(min_tokens=1, frames_per_token=1), "encoder window"),
     (dict(n_experts=0), "n_experts"),
@@ -177,7 +177,13 @@ def test_first_encoder_frames_one_base_frame_per_step():
     assert ENCODER_GEOMETRY[0] == (SAMPLES_PER_FRAME, SAMPLES_PER_FRAME)
 
 
-@pytest.mark.parametrize("name", list(RETIRED))
+def test_prompt_vocab_holds_the_task_prompt_ids():
+    # one embedding row per prompt token id: 8 before it was derived
+    assert PROMPT_VOCAB == 4 == 1 + max(i for _, ids in TASKS.values() for i in ids)
+
+
+# prompt_vocab is not in RETIRED: its value changed, from 8 rows to PROMPT_VOCAB
+@pytest.mark.parametrize("name", list(RETIRED) + ["prompt_vocab"])
 def test_retired_key_is_unknown(name):
     # a config file or an older checkpoint's config text naming it fails,
     # whatever the value

@@ -21,14 +21,16 @@ def store_digest(store: ParamStore) -> str:
     return h.hexdigest()
 
 
-# the initial weights of three configs, pinned when every module still
-# registered its own tensors
+# the initial weights of three configs, pinned when the store dropped the
+# q/k weights of one-key attentions and the prompt rows past PROMPT_VOCAB
+# (the first two keep every other bit; the model-check config, which drew
+# 4 prompt rows in TAPM before, now draws 8 and so moves the later draws)
 @pytest.mark.parametrize("cfg, want", [
-    (Config(), "f12575a870649cc98f98f27c746638ac69471dc8067a8a331a13aeff78247c72"),
+    (Config(), "860849d651378821e39791598675f1787df8ef540e39f1ac02faca78f8630e23"),
     (Config(d_model=128, window_frames=1),
-     "efbeea1358c5d6a212083684dad27e0ccd73301b785b03e55fa446fec1120648"),
+     "5c8bb219088dad47d455bf2bfbe26aa8bbc871c0fbc101d93a57df3c714b40aa"),
     (model_check_config(),
-     "9d30e4f44847dd79496e27320e4d73e0c0d83ae36ce1cb238d1182914ac5e28c"),
+     "6cb2facbbc912b45ab7fdc7b92ca06ffea514b4db0e53e7ec44e2d4e3391b0ca"),
 ], ids=["default", "d128-w1", "model-check"])
 def test_initial_store_golden_digest(cfg, want):
     assert store_digest(Model(cfg).store) == want
@@ -42,11 +44,11 @@ def test_untrained_checkpoint_golden_digest(tmp_path):
     save_checkpoint(path, model.store, AdamW(model.store, cfg), 0, text)
     raw = path.read_bytes()
     assert hashlib.sha256(raw).hexdigest() == \
-        "d0d7e6b00fe4a24d986ac9f50d29a4463dd619d98b932cf0c72674001fe58e23"
+        "ed5855497c583c562eb7073b665f963a984785e84577f3d89a73e26c0164a1e2"
     # the bytes from the step field on (after magic, version, fingerprint,
     # config length and text) pin the tensors apart from the config text
     assert hashlib.sha256(raw[76 + len(text.encode()):]).hexdigest() == \
-        "16ba20cf3647d934068a963c41fc9808e6f50af526700f5a8b8ac118fd2dea86"
+        "65c33680e5c93cc639ec296e79e3ee354af9ba67c3ca00a87d36e71a3ad1fcb6"
 
 
 def test_param_casts_and_sets_trainable_flag():

@@ -141,26 +141,40 @@ def test_gradient_reaches_query(n_queries):
         tape.backward(loss)
     g = qf.query.grad
     assert g is not None and np.any(g != 0.0)
-    # one query is one key for the self-attention: its q and k never run
-    skipped = {"qformer.self.wq", "qformer.self.wk"} if n_queries == 1 else set()
-    assert {name for name, t in store.trainable_items() if t.grad is None} == skipped
+    # one query is one key for the self-attention: its q and k are not stored
+    names = {name for name, _ in store.trainable_items()}
+    assert ({"qformer.self.wq", "qformer.self.wk"} <= names) == (n_queries > 1)
+    assert [name for name, t in store.trainable_items() if t.grad is None] == []
 
 
-def w1_reference(qf, u, mask):
+def w1_reference(qf, store, u, mask):
     """The Q-Former forward with one frame per window, both its attentions
     run through ad.attention: the cross-attention over the one key of each
-    window, the self-attention over n_queries keys."""
+    window, the self-attention over n_queries keys. An attention over one key
+    weighs it exactly 1 whatever its q and k weights are, so the Q-Former
+    stores none for it, nor the cross-attention's norm, which feeds only its
+    q: the reference registers fixed stand-ins under their names."""
     batch, t, d = u.shape
+    rng = seeded_rng(13)
+
+    def given(name, value):  # the Q-Former's tensor, or a stand-in
+        w = getattr(qf, name.replace(".", "_"), None)
+        return w if w is not None else store.param(f"qformer.{name}", value, u.data.dtype)
+
+    self_wq, self_wk, cross_wq, cross_wk = (
+        given(n, rng.standard_normal((d, d)) * 0.02)
+        for n in ("self.wq", "self.wk", "cross.wq", "cross.wk"))
+    cross_ln = (given("cross_ln.gain", np.ones(d)), given("cross_ln.bias", np.zeros(d)))
     u_w = ad.reshape(u, (batch * t, 1, d))
     mask_w = mask.reshape(batch * t, 1)
     has_valid = (mask_w.sum(axis=1) > 0).astype(u.dtype)
     h = ad.layer_norm(qf.query, *qf.self_ln)
-    q1 = ad.add(qf.query, ad.matmul(ad.attention(ad.matmul(h, qf.self_wq),
-                                                 ad.matmul(h, qf.self_wk),
+    q1 = ad.add(qf.query, ad.matmul(ad.attention(ad.matmul(h, self_wq),
+                                                 ad.matmul(h, self_wk),
                                                  ad.matmul(h, qf.self_wv)),
                                     qf.self_wo))
-    q_cross = ad.matmul(ad.layer_norm(q1, *qf.cross_ln), qf.cross_wq)
-    attended = ad.matmul(ad.attention(q_cross, ad.matmul(u_w, qf.cross_wk),
+    q_cross = ad.matmul(ad.layer_norm(q1, *cross_ln), cross_wq)
+    attended = ad.matmul(ad.attention(q_cross, ad.matmul(u_w, cross_wk),
                                       ad.matmul(u_w, qf.cross_wv),
                                       allowed=(mask_w > 0)[:, None, :]),
                          qf.cross_wo)
@@ -182,21 +196,22 @@ def test_one_frame_windows_match_the_attention_reference(n_queries, dtype):
                                  dtype=dtype)
         u = Tensor(u0, requires_grad=True, dtype=cfg.np_dtype)
         with Tape() as tape:
-            z = forward(qf, u, mask.astype(cfg.np_dtype))
+            z = forward(qf, store, u, mask.astype(cfg.np_dtype))
             tape.backward(sum_(mul(z, Tensor(probe, dtype=cfg.np_dtype))))
         grads = {n: t.grad for n, t in store.trainable_items()}
         return z.data, dict(grads, u=u.grad)
 
-    z, grads = run(lambda qf, u, mask: qf.forward(u, mask).values)
+    z, grads = run(lambda qf, store, u, mask: qf.forward(u, mask).values)
     z_ref, ref = run(w1_reference)
-    skipped = {f"qformer.{n}" for n in ("cross_ln.gain", "cross_ln.bias",
-                                        "cross.wq", "cross.wk")}
+    stand_ins = {f"qformer.{n}" for n in ("cross_ln.gain", "cross_ln.bias",
+                                          "cross.wq", "cross.wk")}
     if n_queries == 1:  # one query is one key for the self-attention too
-        skipped |= {"qformer.self.wq", "qformer.self.wk"}
-    assert {n for n, g in grads.items() if g is None} == skipped
-    assert all(not ref[n].any() for n in skipped)  # exactly 0 in the reference
-    pairs = [(z, z_ref)] + [(grads[n], ref[n]) for n in ref if n not in skipped]
-    for got, want in pairs:  # the skipped path added exact zeros: same bytes
+        stand_ins |= {"qformer.self.wq", "qformer.self.wk"}
+    assert ref.keys() - grads.keys() == stand_ins
+    assert all(g is not None for g in grads.values())
+    assert all(not ref[n].any() for n in stand_ins)  # exactly 0 in the reference
+    pairs = [(z, z_ref)] + [(grads[n], ref[n]) for n in grads]
+    for got, want in pairs:  # the stand-ins' path added exact zeros: same bytes
         assert got.dtype == np.dtype(dtype) and got.tobytes() == want.tobytes()
 
 
