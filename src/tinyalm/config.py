@@ -125,16 +125,17 @@ class Config:
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        for name in ("lm_heads", "n_queries", "window_frames", "frames_per_token",
-                     "batch_size", "min_tokens", "n_experts", "expert_hidden",
-                     "score_hidden", "agg_hidden", "vocab_symbols", "d_text",
-                     "lora_rank", "total_steps"):
+        for name in ("lm_heads", "lm_layers", "n_queries", "window_frames",
+                     "frames_per_token", "batch_size", "min_tokens", "n_experts",
+                     "expert_hidden", "score_hidden", "agg_hidden", "vocab_symbols",
+                     "d_text", "lora_rank", "total_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lm_layers", "enc1_dim", "enc2_dim", "enc3_dim", "seed",
-                     "model_seed"):
+        for name in ("enc1_dim", "enc2_dim", "enc3_dim", "seed", "model_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.enc1_dim + self.enc2_dim + self.enc3_dim == 0:
+            raise ConfigError("enc1_dim, enc2_dim and enc3_dim are 0: no output channels")
         if self.ablate not in ABLATIONS:
             raise ConfigError(f"ablate must be one of {', '.join(ABLATIONS)}, "
                               f"got {self.ablate!r}")

@@ -132,8 +132,9 @@ class ToyDecoder:
             if not cache.weights:
                 cache.weights = [self.fold_adapters(layer, use_lora)
                                  for layer in self.layers]
-        if key_valid is not None:
-            allowed = allowed & (np.asarray(key_valid) > 0)[:, None, None, :]
+        if key_valid is not None:  # at the scores' rank: one head's are [B, Lq, Lk]
+            valid = (np.asarray(key_valid) > 0)[:, None, None, :]
+            allowed = allowed & (valid if cfg.lm_heads > 1 else valid[:, 0])
 
         for i, layer in enumerate(self.layers):
             a = a_kv = layer_norm(x, *layer["ln1"])

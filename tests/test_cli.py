@@ -59,6 +59,18 @@ def test_train_then_eval_and_routing(workdir, capsys):
     assert "L1 distance" in captured
 
 
+def test_one_head_decoder_trains_and_evaluates(workdir, capsys):
+    # its key mask used to broadcast the batch against the head axis
+    root, cfg, data = workdir
+    one_head = root / "one_head.txt"
+    one_head.write_text(SMALL + "lm_heads = 1\n")
+    assert main(["train", "--config", str(one_head), "--data", str(data),
+                 "--out-dir", str(root / "run")]) == 0
+    assert main(["eval", "--ckpt", str(root / "run" / "final.ckpt"),
+                 "--data", str(data)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_ablate_flag_sets_the_config_key(workdir, capsys):
     root, cfg, data = workdir
     out = root / "ablated"
@@ -182,6 +194,10 @@ def test_unknown_config_key_is_usage_error(workdir, capsys):
     ("seed = -1", "seed must be >= 0"),
     ("model_seed = -1", "model_seed must be >= 0"),
     ("prompt_vocab = 8", "unknown key 'prompt_vocab'"),
+    # each trained with exit 0 at first: no layer made `eval` raise IndexError,
+    # no channel made the backward raise ValueError
+    ("lm_layers = 0", "lm_layers must be >= 1"),
+    ("enc1_dim = 0\nenc2_dim = 0\nenc3_dim = 0", "no output channels"),
 ])
 def test_malformed_config_is_usage_error(workdir, capsys, line, message):
     root, cfg, data = workdir

@@ -243,7 +243,7 @@ def test_derived_token_ids():
 
 def test_max_seq_bound_is_tight():
     Config(max_seq=17).validate()
-    Config(lm_layers=0, enc2_dim=0, enc3_dim=0).validate()
+    Config(lm_layers=1, enc2_dim=0, enc3_dim=0).validate()
 
 
 def test_every_config_field_is_read():

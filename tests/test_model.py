@@ -34,6 +34,23 @@ def test_parameter_accounting_matches_formula(over):
     assert model.trainable_count() == want
 
 
+@pytest.mark.parametrize("heads", [1, 4])
+def test_record_logits_do_not_depend_on_its_batch_peer(heads):
+    cfg, model, recs = make(dtype="float64", lm_heads=heads)
+    # a record between a shorter and a longer peer: each pads the batch differently
+    short, *_, long = sorted(recs, key=lambda r: len(r.targets))
+    record = next(r for r in recs if len(short.targets) < len(r.targets) < len(long.targets))
+    peers, n = (short, long), len(record.targets)
+
+    def logits(peer):
+        out = model.forward_batch([record, peer], None, compute_saclm=False)
+        return out.logits.data[0][out.seq.loss_mask[0] > 0]
+
+    a, b = map(logits, peers)
+    assert a.shape == (n, cfg.vocab_total)
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
 def test_parameter_groups_are_exhaustive():
     _, model, _ = make()
     for name, _ in model.store.trainable_items():
