@@ -60,7 +60,7 @@ def test_train_then_eval_and_routing(workdir, capsys):
 
 
 def test_one_head_decoder_trains_and_evaluates(workdir, capsys):
-    # its key mask used to broadcast the batch against the head axis
+    # one head's scores have no head axis for the key mask to broadcast over
     root, cfg, data = workdir
     one_head = root / "one_head.txt"
     one_head.write_text(SMALL + "lm_heads = 1\n")
@@ -194,8 +194,7 @@ def test_unknown_config_key_is_usage_error(workdir, capsys):
     ("seed = -1", "seed must be >= 0"),
     ("model_seed = -1", "model_seed must be >= 0"),
     ("prompt_vocab = 8", "unknown key 'prompt_vocab'"),
-    # each trained with exit 0 at first: no layer made `eval` raise IndexError,
-    # no channel made the backward raise ValueError
+    # no layer trains on the prompt rows, no channel fails in the backward
     ("lm_layers = 0", "lm_layers must be >= 1"),
     ("enc1_dim = 0\nenc2_dim = 0\nenc3_dim = 0", "no output channels"),
 ])

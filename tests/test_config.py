@@ -178,11 +178,11 @@ def test_first_encoder_frames_one_base_frame_per_step():
 
 
 def test_prompt_vocab_holds_the_task_prompt_ids():
-    # one embedding row per prompt token id: 8 before it was derived
+    # one embedding row per prompt token id
     assert PROMPT_VOCAB == 4 == 1 + max(i for _, ids in TASKS.values() for i in ids)
 
 
-# prompt_vocab is not in RETIRED: its value changed, from 8 rows to PROMPT_VOCAB
+# prompt_vocab is not in RETIRED: PROMPT_VOCAB is 4, not the key's old default of 8
 @pytest.mark.parametrize("name", list(RETIRED) + ["prompt_vocab"])
 def test_retired_key_is_unknown(name):
     # a config file or an older checkpoint's config text naming it fails,

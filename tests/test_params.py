@@ -21,10 +21,7 @@ def store_digest(store: ParamStore) -> str:
     return h.hexdigest()
 
 
-# the initial weights of three configs, pinned when the store dropped the
-# q/k weights of one-key attentions and the prompt rows past PROMPT_VOCAB
-# (the first two keep every other bit; the model-check config, which drew
-# 4 prompt rows in TAPM before, now draws 8 and so moves the later draws)
+# the initial weights of three configs
 @pytest.mark.parametrize("cfg, want", [
     (Config(), "860849d651378821e39791598675f1787df8ef540e39f1ac02faca78f8630e23"),
     (Config(d_model=128, window_frames=1),
