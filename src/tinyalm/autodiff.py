@@ -374,6 +374,13 @@ def _matmul_operands(a, b):
     return a, b
 
 
+def _matmul(a, b):
+    """np.matmul of arrays, but one GEMM, not one per matrix, for a rank-2 b and len(a) > 1."""
+    if len(a) > 1 and b.ndim == 2 and a.ndim > 2:  # cheapest first: decode's a are [1, L, k]
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+    return np.matmul(a, b)
+
+
 def _matmul_grads(a, b, na, nb):
     """Backward of the arrays' product a @ b: g -> (d a, d b), None where
     not wanted (na, nb). It keeps b only for d a and a only for d b. A
@@ -389,7 +396,7 @@ def _matmul_grads(a, b, na, nb):
                 batch_and_n = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
                 ga = np.tensordot(g, b, axes=(batch_and_n, batch_and_n))
             else:
-                ga = _unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a_shape)
+                ga = _unbroadcast(_matmul(g, b.swapaxes(-1, -2)), a_shape)
         if nb:
             if len(b_shape) == 2 and a.ndim > 2:
                 gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -402,7 +409,7 @@ def _matmul_grads(a, b, na, nb):
 
 def matmul(a, b):
     a, b = _matmul_operands(a, b)
-    out = Tensor(np.matmul(a.data, b.data))
+    out = Tensor(_matmul(a.data, b.data))
     if _TAPE is not None:
         _TAPE._record("matmul", (a, b), out,
                       lambda na, nb: _matmul_grads(a.data, b.data, na, nb))
@@ -414,7 +421,7 @@ def linear(x, w, b):
     the add's gradient reaches b, then the matmul's reaches x and w."""
     x, w = _matmul_operands(x, w)
     b = _as_tensor(b, like=x)
-    y = np.matmul(x.data, w.data)
+    y = _matmul(x.data, w.data)
     out = Tensor(y + b.data)
     if _TAPE is not None:
         def grads(nx, nw, nbias):

@@ -100,6 +100,10 @@ def _op_outputs(rng):
     window = np.arange(5) < np.array([[5], [2], [3]])[:, None]
     yield "attention_shared_q", lambda p: ad.attention(p["q"], p["k"], p["v"], window), \
         {"q": t(2, 4), "k": t(3, 5, 4), "v": t(3, 5, 3)}
+    yield "linear_batched", lambda p: ad.linear(p["x"], p["w"], p["b"]), \
+        {"x": t(2, 3, 4), "w": t(4, 2), "b": t(2)}
+    yield "matmul_one_row_entries", lambda p: ad.matmul(p["a"], p["b"]), \
+        {"a": t(2, 3, 1, 4), "b": t(4, 2)}
 
 
 def _op_cases(rng):

@@ -87,6 +87,28 @@ def test_matmul_shared_operand_gradient_matches_summed_batch(a_shape, b_shape):
     np.testing.assert_allclose(b.grad, gb, rtol=1e-12, atol=1e-12)
 
 
+def test_shared_rank2_operand_runs_as_one_gemm():
+    # the Q-Former's per-window product at one frame per window: np.matmul
+    # makes one call per one-row matrix and rounds differently from one GEMM
+    # over the rows in float32, so the bytes tell the two apart
+    rng = np.random.default_rng(7)
+    a, b, g, bias = (rng.standard_normal(s).astype(np.float32)
+                     for s in ((368, 1, 128), (128, 128), (368, 1, 128), (128,)))
+    gemm = (a.reshape(-1, 128) @ b).reshape(a.shape)
+    assert gemm.tobytes() != np.matmul(a, b).tobytes()
+    for op, args, want in ((ad.matmul, (), gemm), (ad.linear, (Tensor(bias),), gemm + bias)):
+        x, w = Tensor(a, requires_grad=True), Tensor(b)
+        with Tape() as tape:
+            out = op(x, w, *args)
+        assert out.data.tobytes() == want.tobytes()
+        (_, _, _, backward), = tape.nodes
+        ga = backward(g)[0]
+        assert ga.tobytes() == (g.reshape(-1, 128) @ b.T).reshape(a.shape).tobytes()
+    # a batch of one keeps np.matmul, as a decode step's products do
+    one = rng.standard_normal((1, 57, 128)).astype(np.float32)
+    assert ad.matmul(Tensor(one), Tensor(b)).data.tobytes() == np.matmul(one, b).tobytes()
+
+
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as err:
         ad.matmul(rand_t(3, 4), rand_t(3, 2))

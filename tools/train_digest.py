@@ -27,6 +27,9 @@ with their count. Each side runs in a subprocess with its own `src` and
 reorders rounding 1e-15 or less, and a change of logic 1e-4 and more:
 
     PYTHONPATH=src python3 tools/train_digest.py --float64 ../parent
+
+Both checkouts must project per tensor, as every commit from f5702f3 on
+does; against an older one the tool says so and exits 2.
 """
 
 from __future__ import annotations
@@ -137,9 +140,16 @@ def checkpoint_digest(steps: int = CHECKPOINT_STEPS) -> str:
 
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+# a run's projections are null where they are one array, not one per tensor
 PROJECT = ("import json\nfrom test_trajectory import RUNS, projections\n"
-           "print(json.dumps({n: {k: p.tolist() for k, p in projections(n).items()}"
-           " for n in sorted(RUNS)}))")
+           "runs = {n: projections(n) for n in sorted(RUNS)}\n"
+           "print(json.dumps({n: {k: p.tolist() for k, p in r.items()}"
+           " if isinstance(r, dict) else None for n, r in runs.items()}))")
+KEYED_SINCE = "f5702f3"  # the first commit whose projections are keyed by tensor
+
+
+class UnkeyedProjections(Exception):
+    """A checkout's trajectory projections are not keyed by tensor name."""
 
 
 def trajectory_projections(root: str) -> dict:
@@ -149,12 +159,18 @@ def trajectory_projections(root: str) -> dict:
     out = subprocess.run([sys.executable, "-c", PROJECT], check=True,
                          stdout=subprocess.PIPE, text=True,
                          env=dict(os.environ, PYTHONPATH=path)).stdout
+    runs = json.loads(out)
+    if any(run is None for run in runs.values()):
+        raise UnkeyedProjections(
+            f"{root}: tests/test_trajectory.py projects each run to one array, "
+            f"not one per tensor; both checkouts must be at or after {KEYED_SINCE}")
     return {name: {key: np.array(p) for key, p in run.items()}
-            for name, run in json.loads(out).items()}
+            for name, run in runs.items()}
 
 
 def float64_distances(other: str) -> list:
-    here, there = trajectory_projections(ROOT), trajectory_projections(other)
+    there = trajectory_projections(other)  # first, so an old OTHER fails fast
+    here = trajectory_projections(ROOT)
     lines = []
     for name in sorted(here):
         common = sorted(here[name].keys() & there[name].keys())
@@ -172,7 +188,13 @@ def main(argv=None) -> int:
                         help="root of the checkout to compare float64 trajectories with")
     args = parser.parse_args(argv)
     if args.float64:
-        print("\n".join(float64_distances(args.float64)))
+        if not os.path.isfile(os.path.join(args.float64, "tests", "test_trajectory.py")):
+            parser.error(f"--float64: no tests/test_trajectory.py under {args.float64}")
+        try:
+            print("\n".join(float64_distances(args.float64)))
+        except UnkeyedProjections as err:
+            print(f"train_digest: {err}", file=sys.stderr)
+            return 2
         return 0
     for name, steps in RUNS:
         print("\n".join(digest(name, steps)), flush=True)
